@@ -25,24 +25,19 @@ const char* ZoneTypeName(ZoneType t) {
 uint32_t ZoneDatabase::Add(GeoZone zone) {
   zone.id = static_cast<uint32_t>(zones_.size());
   zones_.push_back(std::move(zone));
-  index_dirty_ = true;
-  return zones_.back().id;
-}
-
-void ZoneDatabase::Build() const {
-  if (!index_dirty_) return;
+  // Zone sets are small and built once, so a full STR re-pack per Add is
+  // cheap and yields the same tree a single bulk load would.
   std::vector<RTreeEntry> entries;
   entries.reserve(zones_.size());
   for (const GeoZone& z : zones_) {
     entries.push_back(RTreeEntry{z.polygon.bounds(), z.id});
   }
   index_ = RTree(std::move(entries));
-  index_dirty_ = false;
+  return zones_.back().id;
 }
 
 void ZoneDatabase::ZonesAtInto(const GeoPoint& p,
                                std::vector<const GeoZone*>* out) const {
-  Build();
   out->clear();
   const BoundingBox probe(p.lat, p.lon, p.lat, p.lon);
   index_.Visit(probe, [&](const RTreeEntry& e) {
@@ -68,7 +63,6 @@ std::vector<const GeoZone*> ZoneDatabase::ZonesAt(const GeoPoint& p,
 }
 
 std::vector<const GeoZone*> ZoneDatabase::ZonesIn(const BoundingBox& box) const {
-  Build();
   std::vector<const GeoZone*> out;
   index_.Visit(box, [&](const RTreeEntry& e) {
     out.push_back(&zones_[e.id]);

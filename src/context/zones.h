@@ -45,11 +45,13 @@ struct GeoZone {
 /// \brief Spatially indexed zone collection.
 class ZoneDatabase {
  public:
-  /// \brief Adds a zone; returns its assigned id.
+  /// \brief Adds a zone and re-packs the spatial index; returns its
+  /// assigned id. Lookups never mutate the database, so a populated
+  /// database is safe to share across threads.
   uint32_t Add(GeoZone zone);
 
-  /// \brief Finalizes the spatial index (cheap; called lazily by queries).
-  void Build() const;
+  /// \brief No-op kept for existing callers: `Add` keeps the index current.
+  void Build() const {}
 
   /// \brief All zones containing `p`.
   std::vector<const GeoZone*> ZonesAt(const GeoPoint& p) const;
@@ -75,8 +77,7 @@ class ZoneDatabase {
 
  private:
   std::vector<GeoZone> zones_;
-  mutable RTree index_;
-  mutable bool index_dirty_ = true;
+  RTree index_;
 };
 
 }  // namespace marlin

@@ -104,18 +104,19 @@ void QueryEngine::ScanPartition(const ShardArchive::PartitionSnapshot& snapshot,
                                 QueryStats* stats) {
   const QuerySpec& spec = *resolved.spec;
   stats->partitions = 1;
-  stats->blocks_total = snapshot.blocks.size();
+  stats->blocks_total = snapshot.block_count;
 
-  // Candidate selection over the indexed prefix: interval-tree stab for the
-  // time range, intersected with the R-tree hit set when a region filter is
-  // present. Entry ids are block indexes, so sorted sets intersect directly.
-  std::vector<uint64_t> candidates;
-  if (snapshot.indexed > 0) {
-    candidates = snapshot.intervals->Overlapping(spec.t0, spec.t1);
+  // Per segment: interval-tree stab for the time range, intersected with
+  // the R-tree hit set when a region filter is present. Entry ids are block
+  // indexes within the segment, so sorted sets intersect directly.
+  std::vector<TrajectoryPoint> scratch;
+  for (const auto& segment : snapshot.segments) {
+    std::vector<uint64_t> candidates =
+        segment->intervals.Overlapping(spec.t0, spec.t1);
     std::sort(candidates.begin(), candidates.end());
-    stats->blocks_skipped_time += snapshot.indexed - candidates.size();
+    stats->blocks_skipped_time += segment->blocks.size() - candidates.size();
     if (spec.region.has_value()) {
-      std::vector<uint64_t> in_region = snapshot.rtree->Query(*spec.region);
+      std::vector<uint64_t> in_region = segment->rtree.Query(*spec.region);
       std::sort(in_region.begin(), in_region.end());
       std::vector<uint64_t> both;
       both.reserve(std::min(candidates.size(), in_region.size()));
@@ -125,45 +126,31 @@ void QueryEngine::ScanPartition(const ShardArchive::PartitionSnapshot& snapshot,
       stats->blocks_skipped_region += candidates.size() - both.size();
       candidates = std::move(both);
     }
-  }
-  // Unindexed tail: the same pruning against each block's own metadata.
-  for (size_t i = snapshot.indexed; i < snapshot.blocks.size(); ++i) {
-    const PositionBlock& block = *snapshot.blocks[i];
-    if (block.t1 < spec.t0 || block.t0 > spec.t1) {
-      ++stats->blocks_skipped_time;
-      continue;
-    }
-    if (spec.region.has_value() && !spec.region->Intersects(block.bounds)) {
-      ++stats->blocks_skipped_region;
-      continue;
-    }
-    candidates.push_back(i);
-  }
 
-  std::vector<TrajectoryPoint> scratch;
-  for (const uint64_t id : candidates) {
-    const PositionBlock& block = *snapshot.blocks[id];
-    if (!resolved.vessels_sorted.empty() &&
-        !std::binary_search(resolved.vessels_sorted.begin(),
-                            resolved.vessels_sorted.end(), block.mmsi)) {
-      ++stats->blocks_skipped_vessel;
-      continue;
-    }
-    ++stats->blocks_scanned;
-    scratch.clear();
-    if (!DecodePositionBlock(block.data, block.count, block.mmsi, block.t0,
-                             &scratch)
-             .ok()) {
-      continue;  // corrupt block: served-tier reads degrade, never throw
-    }
-    stats->points_decoded += scratch.size();
-    for (const TrajectoryPoint& p : scratch) {
-      if (p.t < spec.t0 || p.t > spec.t1) continue;
-      if (spec.region.has_value() && !spec.region->Contains(p.position)) {
+    for (const uint64_t id : candidates) {
+      const PositionBlock& block = *segment->blocks[id];
+      if (!resolved.vessels_sorted.empty() &&
+          !std::binary_search(resolved.vessels_sorted.begin(),
+                              resolved.vessels_sorted.end(), block.mmsi)) {
+        ++stats->blocks_skipped_vessel;
         continue;
       }
-      rows->push_back(
-          QueryRow{p.t, block.mmsi, p.position, p.sog_mps, p.cog_deg});
+      ++stats->blocks_scanned;
+      scratch.clear();
+      if (!DecodePositionBlock(block.data, block.count, block.mmsi, block.t0,
+                               &scratch)
+               .ok()) {
+        continue;  // corrupt block: served-tier reads degrade, never throw
+      }
+      stats->points_decoded += scratch.size();
+      for (const TrajectoryPoint& p : scratch) {
+        if (p.t < spec.t0 || p.t > spec.t1) continue;
+        if (spec.region.has_value() && !spec.region->Contains(p.position)) {
+          continue;
+        }
+        rows->push_back(
+            QueryRow{p.t, block.mmsi, p.position, p.sog_mps, p.cog_deg});
+      }
     }
   }
   // Canonical partition order; the coordinator merge preserves it globally.

@@ -36,6 +36,25 @@ float BitsFloat(uint32_t bits) {
   return f;
 }
 
+/// Seals `blocks` into a segment with its own indexes over them.
+std::shared_ptr<const ShardArchive::Segment> MakeSegment(
+    std::vector<std::shared_ptr<const PositionBlock>> blocks) {
+  auto segment = std::make_shared<ShardArchive::Segment>();
+  std::vector<RTreeEntry> boxes;
+  std::vector<IntervalEntry> spans;
+  boxes.reserve(blocks.size());
+  spans.reserve(blocks.size());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const PositionBlock& block = *blocks[i];
+    boxes.push_back(RTreeEntry{block.bounds, i});
+    spans.push_back(IntervalEntry{block.t0, block.t1, i});
+  }
+  segment->blocks = std::move(blocks);
+  segment->rtree = RTree(std::move(boxes));
+  segment->intervals = IntervalIndex(std::move(spans));
+  return segment;
+}
+
 }  // namespace
 
 void EncodePositionBlock(const std::vector<TrajectoryPoint>& points,
@@ -154,6 +173,7 @@ void ShardArchive::RecoverFromLsm() {
   // order, but the query layer canonically re-sorts rows per partition
   // (see QueryEngine::ScanPartition), so served results are byte-identical
   // to an archive that never crashed, for the durable rows.
+  std::vector<std::shared_ptr<const PositionBlock>> blocks;
   std::unique_ptr<KvIterator> it = lsm_->NewIterator();
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     uint32_t mmsi = 0;
@@ -176,36 +196,26 @@ void ShardArchive::RecoverFromLsm() {
     block->count = count;
     for (const TrajectoryPoint& p : points) block->bounds.Extend(p.position);
     block->data = std::move(data);
-    blocks_.push_back(std::move(block));
+    blocks.push_back(std::move(block));
     ++stats_.recovered_blocks;
   }
-  if (blocks_.empty() && stats_.blocks_quarantined == 0) return;
+  if (blocks.empty() && stats_.blocks_quarantined == 0) return;
 
-  // Full index rebuild: recovery is rare and O(blocks log blocks) here buys
-  // indexed_ == blocks_.size(), i.e. no linear tail for the query layer.
-  std::vector<RTreeEntry> boxes;
-  std::vector<IntervalEntry> spans;
-  boxes.reserve(blocks_.size());
-  spans.reserve(blocks_.size());
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    boxes.push_back(RTreeEntry{blocks_[i]->bounds, i});
-    spans.push_back(IntervalEntry{blocks_[i]->t0, blocks_[i]->t1, i});
-  }
-  rtree_ = std::make_shared<const RTree>(std::move(boxes));
-  intervals_ = std::make_shared<const IntervalIndex>(std::move(spans));
-  indexed_ = blocks_.size();
+  // Recovery is rare: one segment over the whole durable prefix.
+  if (!blocks.empty()) segments_.push_back(MakeSegment(std::move(blocks)));
   ++epoch_;
+  Publish();
+}
 
-  auto snapshot = std::make_shared<PartitionSnapshot>();
-  snapshot->epoch = epoch_;
-  snapshot->blocks = blocks_;
-  snapshot->rtree = rtree_;
-  snapshot->intervals = intervals_;
-  snapshot->indexed = indexed_;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_ = std::move(snapshot);
-  }
+void ShardArchive::Publish() {
+  size_t block_count = 0;
+  for (const auto& segment : segments_) block_count += segment->blocks.size();
+  std::shared_ptr<const PartitionSnapshot> snapshot =
+      std::make_shared<const PartitionSnapshot>(
+          PartitionSnapshot{epoch_, segments_, block_count});
+  // Swap under the lock; the previous snapshot is released outside it.
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  snapshot_.swap(snapshot);
 }
 
 void ShardArchive::Stage(uint32_t mmsi, const TrajectoryPoint& point) {
@@ -230,6 +240,8 @@ Status ShardArchive::CloseEpoch() {
   // regardless of arrival order (the slot map's iteration order is not
   // canonical).
   std::sort(staged_.begin(), staged_.end());
+  std::vector<std::shared_ptr<const PositionBlock>> fresh;
+  fresh.reserve(staged_.size());
   Status status = Status::OK();
   for (const uint32_t mmsi : staged_) {
     std::vector<TrajectoryPoint>& points = pool_[*slots_.Find(mmsi)];
@@ -263,39 +275,30 @@ Status ShardArchive::CloseEpoch() {
         if (status.ok()) status = put;
       }
     }
-    blocks_.push_back(std::move(block));
+    fresh.push_back(std::move(block));
   }
   slots_.Clear();
   staged_.clear();
 
-  // Incremental index maintenance: rebuild the static indexes once the
-  // unindexed tail outgrows its budget, else let the tail ride.
-  if (blocks_.size() - indexed_ > options_.index_rebuild_blocks) {
-    std::vector<RTreeEntry> boxes;
-    std::vector<IntervalEntry> spans;
-    boxes.reserve(blocks_.size());
-    spans.reserve(blocks_.size());
-    for (size_t i = 0; i < blocks_.size(); ++i) {
-      boxes.push_back(RTreeEntry{blocks_[i]->bounds, i});
-      spans.push_back(IntervalEntry{blocks_[i]->t0, blocks_[i]->t1, i});
-    }
-    rtree_ = std::make_shared<const RTree>(std::move(boxes));
-    intervals_ = std::make_shared<const IntervalIndex>(std::move(spans));
-    indexed_ = blocks_.size();
-    ++stats_.index_rebuilds;
+  // Seal the epoch, then merge while the older of the two newest segments
+  // is under twice the newer: sizes at least double towards the oldest.
+  segments_.push_back(MakeSegment(std::move(fresh)));
+  while (segments_.size() >= 2 &&
+         segments_[segments_.size() - 2]->blocks.size() <
+             2 * segments_.back()->blocks.size()) {
+    const Segment& newer = *segments_.back();
+    const Segment& older = *segments_[segments_.size() - 2];
+    std::vector<std::shared_ptr<const PositionBlock>> merged;
+    merged.reserve(older.blocks.size() + newer.blocks.size());
+    merged.insert(merged.end(), older.blocks.begin(), older.blocks.end());
+    merged.insert(merged.end(), newer.blocks.begin(), newer.blocks.end());
+    segments_.pop_back();
+    segments_.back() = MakeSegment(std::move(merged));
+    ++stats_.segment_merges;
   }
 
   MARLIN_FAULT_POINT("archive.snapshot.publish");
-  auto snapshot = std::make_shared<PartitionSnapshot>();
-  snapshot->epoch = epoch_;
-  snapshot->blocks = blocks_;  // shared_ptr copies, payloads shared
-  snapshot->rtree = rtree_;
-  snapshot->intervals = intervals_;
-  snapshot->indexed = indexed_;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_ = std::move(snapshot);
-  }
+  Publish();
   return status;
 }
 

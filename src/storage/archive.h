@@ -26,13 +26,16 @@
 /// every pipeline arrangement cuts byte-identical blocks — the equivalence
 /// proof leans on this.
 ///
-/// Index maintenance is incremental at window close: the published snapshot
-/// carries a static STR `RTree` + centered `IntervalIndex` over the first
-/// `indexed` blocks plus a linear tail of newer blocks; when the tail
-/// outgrows `ArchiveOptions::index_rebuild_blocks`, the indexes are rebuilt
-/// to cover everything. Readers therefore always see index + tail = all
-/// blocks, and the write-side cost per window is O(tail) except for the
-/// occasional rebuild.
+/// Index maintenance is O(new) per window close: the published state is a
+/// short list of sealed, immutable *segments*, each holding its blocks (in
+/// epoch order) plus its own static STR `RTree` and centered
+/// `IntervalIndex` (entry id = index into the segment). A close seals its
+/// epoch's blocks into one new segment, then merges the two newest segments
+/// while the older holds fewer than twice the blocks of the newer. Segment
+/// sizes therefore at least double from newest to oldest, so there are at
+/// most bit_width(blocks) segments, and each block is re-indexed
+/// O(log blocks) times over its life (the logarithmic method). There is no
+/// unindexed tail and no tunable: every published block is indexed.
 ///
 /// Read path (any thread): `snapshot()` hands out a shared_ptr to an
 /// immutable `PartitionSnapshot` — epoch-style handoff, so N concurrent
@@ -41,9 +44,11 @@
 /// increment; `std::atomic<shared_ptr>` would be lock-free but libstdc++'s
 /// implementation is not TSan-clean), so the only writer/reader contention
 /// is that single copy — readers cannot stall ingest staging, and an epoch
-/// publish waits at most one refcount bump. Block payloads are shared
-/// between consecutive snapshots (shared_ptr), so publishing costs
-/// O(blocks) pointer copies, not a data copy.
+/// publish waits at most one refcount bump. Segments are shared between
+/// consecutive snapshots (shared_ptr) — a snapshot pins exactly the
+/// segments it was published with, even after the writer merges them away —
+/// so publishing costs O(log blocks) pointer copies, independent of how
+/// much history the archive holds.
 
 #include <memory>
 #include <mutex>
@@ -79,11 +84,7 @@ struct ArchiveOptions {
   /// Compact on the store's background thread (default) instead of inline
   /// on the shard worker.
   bool background_compaction = true;
-  /// Rebuild the static R-tree / interval tree once this many blocks sit in
-  /// the unindexed tail. Smaller = more rebuild work per window; larger =
-  /// more linear tail scanning per query.
-  size_t index_rebuild_blocks = 64;
-  /// On open, scan the LSM store and rebuild the in-memory block list /
+  /// On open, scan the LSM store and rebuild the in-memory segment /
   /// indexes / snapshot from the durable blocks, so a restarted shard serves
   /// its persisted history immediately. Off for the supervised-restart
   /// rebuild path, which replays the raw batches instead (replaying into an
@@ -131,7 +132,7 @@ struct ArchiveStats {
   uint64_t points_staged = 0;
   uint64_t blocks = 0;
   uint64_t epochs = 0;
-  uint64_t index_rebuilds = 0;
+  uint64_t segment_merges = 0;
   uint64_t encoded_bytes = 0;   ///< packed payload bytes across all blocks
   uint64_t lsm_flushes = 0;
   uint64_t lsm_compactions = 0;
@@ -149,7 +150,7 @@ struct ArchiveStats {
     points_staged += o.points_staged;
     blocks += o.blocks;
     epochs += o.epochs;
-    index_rebuilds += o.index_rebuilds;
+    segment_merges += o.segment_merges;
     encoded_bytes += o.encoded_bytes;
     lsm_flushes += o.lsm_flushes;
     lsm_compactions += o.lsm_compactions;
@@ -167,17 +168,22 @@ struct ArchiveStats {
 /// \brief One shard partition of the historical archive.
 class ShardArchive {
  public:
+  /// \brief Sealed, immutable run of blocks with its own indexes (entry id
+  /// = index into `blocks`).
+  struct Segment {
+    /// Epoch order (within an epoch: ascending MMSI).
+    std::vector<std::shared_ptr<const PositionBlock>> blocks;
+    RTree rtree;
+    IntervalIndex intervals;
+  };
+
   /// \brief Immutable read snapshot, published at epoch close.
   struct PartitionSnapshot {
     uint64_t epoch = 0;
-    /// All published blocks, epoch order (within an epoch: ascending MMSI).
-    std::vector<std::shared_ptr<const PositionBlock>> blocks;
-    /// Static secondary indexes over blocks[0 .. indexed): entry id = block
-    /// index. Blocks [indexed, size) are the unindexed tail, scanned
-    /// linearly by the query layer against their own metadata.
-    std::shared_ptr<const RTree> rtree;
-    std::shared_ptr<const IntervalIndex> intervals;
-    size_t indexed = 0;
+    /// Oldest first; concatenated, their blocks are every published block
+    /// in epoch order.
+    std::vector<std::shared_ptr<const Segment>> segments;
+    size_t block_count = 0;
   };
 
   /// \brief `directory` is this shard's own LSM directory (already
@@ -192,10 +198,10 @@ class ShardArchive {
   /// map are pooled across epochs.
   void Stage(uint32_t mmsi, const TrajectoryPoint& point);
 
-  /// \brief Cuts the staged points into blocks, persists them, maintains
-  /// the indexes, and publishes a new snapshot (writer thread; called at
-  /// pipeline window close). A close with nothing staged publishes nothing
-  /// and costs O(1).
+  /// \brief Cuts the staged points into blocks, persists them, seals them
+  /// into a new segment (merging per the doubling rule), and publishes a
+  /// new snapshot (writer thread; called at pipeline window close). A close
+  /// with nothing staged publishes nothing and costs O(1).
   Status CloseEpoch();
 
   /// \brief Current read snapshot (any thread; the critical section is one
@@ -220,9 +226,12 @@ class ShardArchive {
   const std::string& directory() const { return directory_; }
 
  private:
-  /// Rebuilds blocks_/indexes/snapshot from the durable LSM contents
+  /// Rebuilds segments_/snapshot from the durable LSM contents
   /// (crash-consistent recovery; see ArchiveOptions::recover_on_open).
   void RecoverFromLsm();
+
+  /// Publishes segments_ as the snapshot for epoch_.
+  void Publish();
 
   ArchiveOptions options_;
   std::string directory_;
@@ -236,10 +245,7 @@ class ShardArchive {
   std::vector<uint32_t> staged_;
 
   // Writer-side master copy of the published state.
-  std::vector<std::shared_ptr<const PositionBlock>> blocks_;
-  std::shared_ptr<const RTree> rtree_;
-  std::shared_ptr<const IntervalIndex> intervals_;
-  size_t indexed_ = 0;
+  std::vector<std::shared_ptr<const Segment>> segments_;
   uint64_t epoch_ = 0;
   ArchiveStats stats_;
 

@@ -1,13 +1,14 @@
 // Historical serving tier tests: the determinism proof battery (same
 // QuerySpec over sequential vs N-shard archives must be byte-identical,
 // N ∈ {1, 2, 4}, across multiple scenario worlds), concurrent readers
-// against live ingest, incremental index maintenance, and the
+// against live ingest, sealed-segment index maintenance, and the
 // allocation-freedom of the archive staging hot path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -55,9 +56,7 @@ PipelineConfig ArchiveConfig() {
   pc.window_lines = 512;  // several windows (= epochs) per scenario
   pc.archive.enabled = true;
   // Volatile archives: the equivalence proof is about blocks and query
-  // results, not files. Small rebuild budget so scenarios cross the index
-  // tail threshold repeatedly.
-  pc.archive.index_rebuild_blocks = 16;
+  // results, not files.
   return pc;
 }
 
@@ -255,9 +254,17 @@ TEST(QueryServingTest, ConcurrentReadersDuringLiveIngest) {
   EXPECT_EQ(RowBytes(engine.Execute(QuerySpec{}).rows), expected);
   // The fan-out hop actually carried tasks.
   EXPECT_GT(engine.hop_stats().pushed, 0u);
+  // The readers overlapped segment merges, and the final comparison ran
+  // over multi-segment partitions.
+  EXPECT_GT(sharded.metrics().archive.segment_merges, 0u);
+  size_t max_segments = 0;
+  for (const ShardArchive* archive : sharded.archive_view()) {
+    max_segments = std::max(max_segments, archive->snapshot()->segments.size());
+  }
+  EXPECT_GT(max_segments, 1u);
 }
 
-// --- Incremental index maintenance ----------------------------------------
+// --- Sealed-segment index maintenance ------------------------------------
 
 TrajectoryPoint Point(Timestamp t, double lat, double lon) {
   TrajectoryPoint p;
@@ -268,73 +275,195 @@ TrajectoryPoint Point(Timestamp t, double lat, double lon) {
   return p;
 }
 
-TEST(ShardArchiveTest, IndexRebuildCoversTailAcrossThreshold) {
+/// Concatenation of a snapshot's segment blocks, oldest segment first.
+std::vector<const PositionBlock*> SnapshotBlocks(
+    const ShardArchive::PartitionSnapshot& snap) {
+  std::vector<const PositionBlock*> out;
+  for (const auto& segment : snap.segments) {
+    for (const auto& block : segment->blocks) out.push_back(block.get());
+  }
+  return out;
+}
+
+TEST(ShardArchiveTest, SegmentsStayLogarithmicAndUnmergedOnesAreShared) {
   ArchiveOptions opts;
   opts.enabled = true;
-  opts.index_rebuild_blocks = 1;  // rebuild nearly every epoch
   ShardArchive archive(opts, "");
 
-  for (int epoch = 0; epoch < 6; ++epoch) {
-    for (uint32_t v = 0; v < 2; ++v) {
-      const Timestamp base = epoch * 60000;
-      archive.Stage(100 + v, Point(base, 10.0 + epoch * 0.1, 20.0 + v * 0.1));
-      archive.Stage(100 + v, Point(base + 1000, 10.05 + epoch * 0.1,
-                                   20.05 + v * 0.1));
+  // Varying blocks per epoch (1..4 vessels) so merges cascade irregularly.
+  constexpr int kEpochs = 2000;
+  std::vector<const PositionBlock*> expected;  // every block, epoch order
+  std::shared_ptr<const ShardArchive::PartitionSnapshot> prev =
+      archive.snapshot();
+  uint64_t merges_seen = 0;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    const uint32_t vessels = 1 + static_cast<uint32_t>((epoch * 7) % 4);
+    for (uint32_t v = 0; v < vessels; ++v) {
+      const Timestamp base = static_cast<Timestamp>(epoch) * 60000;
+      archive.Stage(100 + v, Point(base, 10.0 + v * 0.1, 20.0));
+      archive.Stage(100 + v, Point(base + 1000, 10.05 + v * 0.1, 20.05));
     }
     ASSERT_TRUE(archive.CloseEpoch().ok());
     const auto snap = archive.snapshot();
-    EXPECT_EQ(snap->epoch, static_cast<uint64_t>(epoch + 1));
-    EXPECT_EQ(snap->blocks.size(), static_cast<size_t>(2 * (epoch + 1)));
-    // Index + linear tail always covers every block.
-    EXPECT_LE(snap->indexed, snap->blocks.size());
-    if (snap->indexed > 0) {
-      ASSERT_NE(snap->rtree, nullptr);
-      ASSERT_NE(snap->intervals, nullptr);
-    }
-  }
-  EXPECT_GT(archive.stats().index_rebuilds, 1u);
+    ASSERT_EQ(snap->epoch, static_cast<uint64_t>(epoch + 1));
 
-  // Query through the engine: indexed prefix + tail must agree with brute
-  // force over all blocks.
+    // Every block in exactly one segment, in epoch order: the previous
+    // snapshot's blocks are a prefix, this epoch's are the suffix.
+    const std::vector<const PositionBlock*> blocks = SnapshotBlocks(*snap);
+    ASSERT_EQ(blocks.size(), expected.size() + vessels);
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), blocks.begin()))
+        << "epoch " << epoch;
+    for (uint32_t v = 0; v < vessels; ++v) {
+      ASSERT_EQ(blocks[expected.size() + v]->mmsi, 100 + v);
+    }
+    expected = blocks;
+    ASSERT_EQ(snap->block_count, blocks.size());
+
+    // Logarithmic segment count; every segment fully indexed.
+    ASSERT_LE(snap->segments.size(),
+              static_cast<size_t>(std::bit_width(snap->block_count)));
+    for (const auto& segment : snap->segments) {
+      ASSERT_EQ(segment->rtree.size(), segment->blocks.size());
+      ASSERT_EQ(segment->intervals.size(), segment->blocks.size());
+    }
+
+    // O(new) publish: the segments this close did not merge are the very
+    // objects the previous snapshot held. Merges only touch the newest
+    // segments, so those form a common prefix.
+    const uint64_t merges = archive.stats().segment_merges;
+    // Everything after that prefix is new: a single segment.
+    const size_t unmerged = prev->segments.size() - (merges - merges_seen);
+    ASSERT_EQ(snap->segments.size(), unmerged + 1);
+    for (size_t i = 0; i < unmerged; ++i) {
+      ASSERT_EQ(snap->segments[i].get(), prev->segments[i].get())
+          << "epoch " << epoch << " segment " << i;
+    }
+    merges_seen = merges;
+    prev = snap;
+  }
+  EXPECT_GT(merges_seen, 0u);
+}
+
+TEST(ShardArchiveTest, SegmentedQueriesMatchBruteForceOverAllBlocks) {
+  ArchiveOptions opts;
+  opts.enabled = true;
+  ShardArchive archive(opts, "");
+  for (int epoch = 0; epoch < 300; ++epoch) {
+    for (uint32_t v = 0; v < 1 + static_cast<uint32_t>(epoch % 3); ++v) {
+      const Timestamp base = static_cast<Timestamp>(epoch) * 60000;
+      const double lat = 10.0 + (epoch % 17) * 0.05 + v * 0.3;
+      const double lon = 20.0 + (epoch % 11) * 0.07 + v * 0.2;
+      archive.Stage(200 + v, Point(base, lat, lon));
+      archive.Stage(200 + v, Point(base + 20000, lat + 0.02, lon + 0.01));
+    }
+    ASSERT_TRUE(archive.CloseEpoch().ok());
+  }
+  const auto snap = archive.snapshot();
+  ASSERT_GT(snap->segments.size(), 1u);
+
   QueryEngine engine({&archive});
   const QueryResult full = engine.Execute(QuerySpec{});
-  EXPECT_EQ(full.rows.size(), 24u);  // 6 epochs × 2 vessels × 2 points
-  QuerySpec window;
-  window.t0 = 2 * 60000;
-  window.t1 = 4 * 60000;
-  const QueryResult mid = engine.Execute(window);
-  size_t expect = 0;
-  for (const QueryRow& r : full.rows) {
-    if (r.t >= window.t0 && r.t <= window.t1) ++expect;
+  // The four raw-row shapes after "everything": time range, region, vessel
+  // set, and all three combined.
+  const std::vector<QuerySpec> all = SpecBattery(full);
+  std::vector<QuerySpec> battery;
+  for (size_t i = 1; i < all.size(); ++i) {
+    if (all[i].resample_ms == 0) battery.push_back(all[i]);
   }
-  EXPECT_EQ(mid.rows.size(), expect);
-  EXPECT_GT(mid.stats.blocks_skipped_time, 0u);
+  ASSERT_EQ(battery.size(), 4u);
+
+  for (size_t i = 0; i < battery.size(); ++i) {
+    const QuerySpec& spec = battery[i];
+    const QueryResult got = engine.Execute(spec);
+
+    // Brute force: the same block-level pruning and row filter, applied to
+    // every block with no index.
+    QueryStats want;
+    std::vector<QueryRow> rows;
+    for (const PositionBlock* block : SnapshotBlocks(*snap)) {
+      if (block->t1 < spec.t0 || block->t0 > spec.t1) {
+        ++want.blocks_skipped_time;
+        continue;
+      }
+      if (spec.region.has_value() && !spec.region->Intersects(block->bounds)) {
+        ++want.blocks_skipped_region;
+        continue;
+      }
+      if (!spec.vessels.empty() &&
+          std::find(spec.vessels.begin(), spec.vessels.end(), block->mmsi) ==
+              spec.vessels.end()) {
+        ++want.blocks_skipped_vessel;
+        continue;
+      }
+      ++want.blocks_scanned;
+      std::vector<TrajectoryPoint> points;
+      ASSERT_TRUE(DecodePositionBlock(block->data, block->count, block->mmsi,
+                                      block->t0, &points)
+                      .ok());
+      want.points_decoded += points.size();
+      for (const TrajectoryPoint& p : points) {
+        if (p.t < spec.t0 || p.t > spec.t1) continue;
+        if (spec.region.has_value() && !spec.region->Contains(p.position)) {
+          continue;
+        }
+        rows.push_back(
+            QueryRow{p.t, block->mmsi, p.position, p.sog_mps, p.cog_deg});
+      }
+    }
+    std::sort(rows.begin(), rows.end(), [](const QueryRow& a, const QueryRow& b) {
+      return a.t != b.t ? a.t < b.t : a.mmsi < b.mmsi;
+    });
+
+    EXPECT_EQ(RowBytes(got.rows), RowBytes(rows)) << "spec " << i;
+    EXPECT_EQ(got.stats.blocks_total, snap->block_count) << "spec " << i;
+    EXPECT_EQ(got.stats.blocks_skipped_time, want.blocks_skipped_time)
+        << "spec " << i;
+    EXPECT_EQ(got.stats.blocks_skipped_region, want.blocks_skipped_region)
+        << "spec " << i;
+    EXPECT_EQ(got.stats.blocks_skipped_vessel, want.blocks_skipped_vessel)
+        << "spec " << i;
+    EXPECT_EQ(got.stats.blocks_scanned, want.blocks_scanned) << "spec " << i;
+    EXPECT_EQ(got.stats.points_decoded, want.points_decoded) << "spec " << i;
+    EXPECT_EQ(got.stats.rows, rows.size()) << "spec " << i;
+  }
 }
 
 TEST(ShardArchiveTest, HeldSnapshotUnchangedByLaterEpochs) {
   ArchiveOptions opts;
   opts.enabled = true;
-  opts.index_rebuild_blocks = 0;  // always indexed
   ShardArchive archive(opts, "");
 
   archive.Stage(7, Point(1000, 10.0, 20.0));
   archive.Stage(7, Point(2000, 10.1, 20.1));
   ASSERT_TRUE(archive.CloseEpoch().ok());
   const auto held = archive.snapshot();
-  ASSERT_EQ(held->blocks.size(), 1u);
-  const PositionBlock* held_block = held->blocks[0].get();
+  ASSERT_EQ(SnapshotBlocks(*held).size(), 1u);
+  const PositionBlock* held_block = SnapshotBlocks(*held)[0];
+  ASSERT_EQ(held->segments.size(), 1u);
+  const ShardArchive::Segment* held_segment = held->segments[0].get();
 
   // "Insert during query": new epochs publish while `held` stays pinned.
+  // The first of them merges the held segment away in the writer.
   for (int epoch = 0; epoch < 3; ++epoch) {
     archive.Stage(8, Point(10000 + epoch * 1000, 11.0, 21.0));
     ASSERT_TRUE(archive.CloseEpoch().ok());
   }
-  EXPECT_EQ(archive.snapshot()->blocks.size(), 4u);
+  const auto latest = archive.snapshot();
+  EXPECT_EQ(latest->block_count, 4u);
+  EXPECT_GT(archive.stats().segment_merges, 0u);
+  for (const auto& segment : latest->segments) {
+    EXPECT_NE(segment.get(), held_segment);
+  }
 
-  // The held snapshot is immutable: same blocks, same payload, and its
-  // points still decode identically.
-  ASSERT_EQ(held->blocks.size(), 1u);
-  EXPECT_EQ(held->blocks[0].get(), held_block);
+  // The held snapshot is immutable: same segment, same blocks, same
+  // payload, and its points still decode identically.
+  ASSERT_EQ(SnapshotBlocks(*held).size(), 1u);
+  EXPECT_EQ(held->block_count, 1u);
+  ASSERT_EQ(held->segments.size(), 1u);
+  EXPECT_EQ(held->segments[0].get(), held_segment);
+  EXPECT_EQ(SnapshotBlocks(*held)[0], held_block);
+  EXPECT_EQ(held_segment->rtree.size(), 1u);
+  EXPECT_EQ(held_segment->intervals.Overlapping(0, 5000).size(), 1u);
   std::vector<TrajectoryPoint> decoded;
   ASSERT_TRUE(DecodePositionBlock(held_block->data, held_block->count,
                                   held_block->mmsi, held_block->t0, &decoded)
@@ -451,7 +580,11 @@ TEST(ShardArchiveTest, StageSteadyStateAllocationFree) {
 TEST(QueryServingTest, DrainEnrichedOrderedMatchesSequential) {
   const ScenarioOutput scenario = MakeScenario(7106, true);
   PipelineConfig pc = ArchiveConfig();
-  pc.enriched_output_capacity = 1 << 20;  // no drops: exact comparison
+  // No drops: exact comparison. Both the enrichment input queue and the
+  // enriched drain buffer must hold the whole scenario, else a shard worker
+  // that outpaces its enrichment worker evicts points.
+  pc.enrichment_queue_depth = 1 << 20;
+  pc.enriched_output_capacity = 1 << 20;
 
   MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
                               nullptr);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "context/registry.h"
+#include "context/zones.h"
 #include "context/weather.h"
 #include "core/pipeline.h"
 #include "core/sharded_pipeline.h"
@@ -640,6 +641,31 @@ TEST(EnrichedStreamTest, ManyShardsPreservePerVesselStreams) {
     }
     EXPECT_EQ(per_vessel, seq_per_vessel) << num_shards << " shards";
   }
+}
+
+TEST(EnrichedStreamTest, FreshZoneDatabaseIsSafeToShareAcrossWorkers) {
+  // A database populated with Add only and never queried before the run:
+  // shard and enrichment workers make its first lookups concurrently, so
+  // any lookup-time index build would race (TSan surface).
+  ZoneDatabase zones;
+  for (const GeoZone& z : SharedWorld().zones().zones()) zones.Add(z);
+
+  const ScenarioOutput scenario = MakeScenario(913, /*perfect_reception=*/false);
+  const PipelineConfig pc = EnrichedTestConfig();
+  ShardedPipeline::Options opts;
+  opts.num_shards = 2;
+  ShardedPipeline sharded(pc, opts, &zones, nullptr, nullptr, nullptr);
+  const auto shard_events = sharded.Run(scenario.nmea);
+
+  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
+                              nullptr);
+  const auto seq_events = sequential.Run(scenario.nmea);
+  const PipelineMetrics& ms = sequential.metrics();
+  const PipelineMetrics& mp = sharded.metrics();
+  EXPECT_GT(mp.enrichment.zone_hits, 0u);
+  EXPECT_EQ(mp.enrichment.points, ms.enrichment.points);
+  EXPECT_EQ(mp.enrichment.zone_hits, ms.enrichment.zone_hits);
+  ExpectSameEvents(seq_events, shard_events, /*compare_order=*/false);
 }
 
 TEST(EnrichedStreamTest, SinkDeliversEveryPointWithPerVesselOrder) {
