@@ -4,10 +4,11 @@
 /// \file ring_buffer.h
 /// \brief Fixed-layout FIFO window for per-vessel sliding state.
 ///
-/// The event rules keep short sliding windows per vessel (loiter window,
-/// spoof-jump history). `std::deque` allocates and frees a chunk every ~64
-/// elements as the window slides; this ring keeps one power-of-two buffer
-/// that only grows, so a steady-state slide performs zero allocations.
+/// The event rules keep short sliding windows per vessel (loiter window and
+/// its monotonic min/max deques, spoof-jump history). `std::deque`
+/// allocates and frees a chunk every ~64 elements as the window slides; this
+/// ring keeps one power-of-two buffer that only grows, so a steady-state
+/// slide performs zero allocations.
 
 #include <cassert>
 #include <cstddef>
@@ -51,6 +52,11 @@ class alignas(kCacheLineBytes) RingBuffer {
   void pop_front() {
     assert(size_ > 0);
     head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+
+  void pop_back() {
+    assert(size_ > 0);
     --size_;
   }
 

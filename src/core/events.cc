@@ -39,6 +39,20 @@ void EraseFishingSince(std::vector<std::pair<uint32_t, Timestamp>>* v,
   }
 }
 
+// Monotonic-deque push: back entries the new value strictly `beats` can
+// never be the edge again, so they go; an equal older entry stays.
+template <typename Entry, typename Beats>
+void PushEdge(RingBuffer<Entry>* edge, uint64_t seq, double value,
+              Beats beats) {
+  while (!edge->empty() && beats(value, edge->back().value)) edge->pop_back();
+  edge->push_back(Entry{seq, value});
+}
+
+template <typename Entry>
+void ExpireEdge(RingBuffer<Entry>* edge, uint64_t first_seq) {
+  while (!edge->empty() && edge->front().seq < first_seq) edge->pop_front();
+}
+
 }  // namespace
 
 const char* EventTypeName(EventType t) {
@@ -229,10 +243,12 @@ void VesselEventEngine::CheckLoitering(const ReconstructedPoint& rp,
   const Timestamp t = rp.point.t;
   auto& window = vessel->window;
   window.push_back(rp.point);
+  vessel->window_box.Push(vessel->window_pushed++, rp.point.position);
   while (!window.empty() &&
          t - window.front().t > options_.loiter_min_duration) {
     window.pop_front();
   }
+  vessel->window_box.Expire(vessel->window_pushed - window.size());
   if (vessel->in_port_area) {
     return;  // moored in harbour is normal, not loitering
   }
@@ -244,25 +260,25 @@ void VesselEventEngine::CheckLoitering(const ReconstructedPoint& rp,
   }
   // Confinement test: window bounding box must fit inside the radius, and
   // mean speed must be low.
-  BoundingBox box = BoundingBox::Empty();
+  const BoundingBox box = vessel->window_box.box();
+  const double diag = HaversineDistance(GeoPoint(box.min_lat, box.min_lon),
+                                        GeoPoint(box.max_lat, box.max_lon));
+  if (!(diag <= 2.0 * options_.loiter_radius_m)) return;
+  // Mean speed over the *available* samples only — one sentinel SOG used to
+  // poison the whole window with NaN. No speed evidence at all ⇒ no alert.
+  // Summed oldest first, so the floating sum is the same on every check.
   double speed_sum = 0.0;
   size_t speed_count = 0;
   for (size_t i = 0; i < window.size(); ++i) {
     const TrajectoryPoint& p = window[i];
-    box.Extend(p.position);
     if (p.HasSpeed()) {
       speed_sum += p.sog_mps;
       ++speed_count;
     }
   }
-  // Mean speed over the *available* samples only — one sentinel SOG used to
-  // poison the whole window with NaN. No speed evidence at all ⇒ no alert.
   if (speed_count == 0) return;
-  const double diag = HaversineDistance(GeoPoint(box.min_lat, box.min_lon),
-                                        GeoPoint(box.max_lat, box.max_lon));
   const double mean_speed = speed_sum / static_cast<double>(speed_count);
-  if (diag <= 2.0 * options_.loiter_radius_m &&
-      mean_speed <= options_.loiter_max_speed_mps) {
+  if (mean_speed <= options_.loiter_max_speed_mps) {
     vessel->last_loiter_alert = t;
     DetectedEvent ev;
     ev.type = EventType::kLoitering;
@@ -275,6 +291,35 @@ void VesselEventEngine::CheckLoitering(const ReconstructedPoint& rp,
     out->push_back(ev);
     ++stats_.events_out;
   }
+}
+
+// --- VesselEventEngine::SlidingBox ------------------------------------------
+
+void VesselEventEngine::SlidingBox::Push(uint64_t seq, const GeoPoint& p) {
+  const auto less = [](double a, double b) { return a < b; };
+  const auto greater = [](double a, double b) { return a > b; };
+  PushEdge(&min_lat_, seq, p.lat, less);
+  PushEdge(&max_lat_, seq, p.lat, greater);
+  PushEdge(&min_lon_, seq, p.lon, less);
+  PushEdge(&max_lon_, seq, p.lon, greater);
+}
+
+void VesselEventEngine::SlidingBox::Expire(uint64_t first_seq) {
+  ExpireEdge(&min_lat_, first_seq);
+  ExpireEdge(&max_lat_, first_seq);
+  ExpireEdge(&min_lon_, first_seq);
+  ExpireEdge(&max_lon_, first_seq);
+}
+
+BoundingBox VesselEventEngine::SlidingBox::box() const {
+  BoundingBox box = BoundingBox::Empty();
+  if (!min_lat_.empty()) {
+    box.min_lat = std::min(box.min_lat, min_lat_.front().value);
+    box.max_lat = std::max(box.max_lat, max_lat_.front().value);
+    box.min_lon = std::min(box.min_lon, min_lon_.front().value);
+    box.max_lon = std::max(box.max_lon, max_lon_.front().value);
+  }
+  return box;
 }
 
 void VesselEventEngine::CheckIllegalFishing(const ReconstructedPoint& rp,

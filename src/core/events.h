@@ -169,18 +169,49 @@ class VesselEventEngine {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Bounding box of a sliding window, O(1) amortised per point: one
+  /// monotonic deque of (push sequence number, coordinate) per box edge,
+  /// whose front is that edge. A push drops the back entries it strictly
+  /// beats, so among equal values the oldest is kept — the value
+  /// `std::min`/`std::max` keep in a rescan (it matters only for ±0.0).
+  /// Coordinates are finite: reconstruction passes only positions with
+  /// `GeoPoint::IsValid()`.
+  class SlidingBox {
+   public:
+    void Push(uint64_t seq, const GeoPoint& p);
+    /// \brief Drops the entries pushed before `first_seq`. Clearing the
+    /// window needs nothing more: the next push and expiry leave only the
+    /// new point.
+    void Expire(uint64_t first_seq);
+    /// \brief The box a rescan of the window would build: the edges
+    /// clamped by `BoundingBox::Empty()`, as `Extend` from it would.
+    BoundingBox box() const;
+
+   private:
+    struct Entry {
+      uint64_t seq;
+      double value;
+    };
+    RingBuffer<Entry> min_lat_, max_lat_, min_lon_, max_lon_;
+  };
+
   /// Flat per-vessel state: the id sets are small sorted vectors (zone
   /// membership is a handful of ids), the sliding windows are ring buffers,
   /// and the whole struct lives by value in an open-addressing table — no
-  /// node allocations anywhere on the per-point path.
+  /// node allocations anywhere on the per-point path. The loitering window
+  /// carries its own sliding bounding box (`window_box`), so a check reads
+  /// the box instead of rescanning the window.
   struct VesselState {
     TrajectoryPoint last;
     bool has_last = false;
     std::vector<uint32_t> zones;  ///< sorted ascending (emission order)
     bool stopped = false;
     bool in_port_area = false;
-    // Loitering window
+    // Loitering window; `window[i]` has push sequence number
+    // `window_pushed - window.size() + i`.
     RingBuffer<TrajectoryPoint> window;
+    SlidingBox window_box;
+    uint64_t window_pushed = 0;
     Timestamp last_loiter_alert = kInvalidTimestamp;
     // Illegal fishing accumulation per prohibited zone (tiny: linear scan)
     std::vector<std::pair<uint32_t, Timestamp>> fishing_since;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <map>
-
-#include "stream/event.h"
-#include "stream/merge.h"
+#include <numeric>
 
 namespace marlin {
 
@@ -29,12 +27,6 @@ bool RowLess(const QueryRow& a, const QueryRow& b) {
   return std::bit_cast<uint32_t>(a.cog_deg) <
          std::bit_cast<uint32_t>(b.cog_deg);
 }
-
-struct MergeLess {
-  bool operator()(const Event<QueryRow>& a, const Event<QueryRow>& b) const {
-    return RowLess(a.payload, b.payload);
-  }
-};
 
 /// Resamples the merged raw rows at a fixed cadence: per-vessel linear
 /// interpolation between archived fixes via `Trajectory::At`, grid anchored
@@ -106,14 +98,20 @@ void QueryEngine::ScanPartition(const ShardArchive::PartitionSnapshot& snapshot,
   stats->partitions = 1;
   stats->blocks_total = snapshot.block_count;
 
-  // Per segment: interval-tree stab for the time range, intersected with
-  // the R-tree hit set when a region filter is present. Entry ids are block
-  // indexes within the segment, so sorted sets intersect directly.
+  // Per segment: interval-tree stab for the time range (skipped when the
+  // range covers the whole segment: every block overlaps it), intersected
+  // with the R-tree hit set when a region filter is present. Entry ids are
+  // block indexes within the segment, so sorted sets intersect directly.
   std::vector<TrajectoryPoint> scratch;
   for (const auto& segment : snapshot.segments) {
-    std::vector<uint64_t> candidates =
-        segment->intervals.Overlapping(spec.t0, spec.t1);
-    std::sort(candidates.begin(), candidates.end());
+    std::vector<uint64_t> candidates;
+    if (spec.t0 <= segment->t0 && segment->t1 <= spec.t1) {
+      candidates.resize(segment->blocks.size());
+      std::iota(candidates.begin(), candidates.end(), uint64_t{0});
+    } else {
+      candidates = segment->intervals.Overlapping(spec.t0, spec.t1);
+      std::sort(candidates.begin(), candidates.end());
+    }
     stats->blocks_skipped_time += segment->blocks.size() - candidates.size();
     if (spec.region.has_value()) {
       std::vector<uint64_t> in_region = segment->rtree.Query(*spec.region);
@@ -196,26 +194,16 @@ QueryResult QueryEngine::Execute(const QuerySpec& spec) const {
     done.wait();
   }
 
-  // K-way merge of the sorted partition streams in canonical order.
-  std::vector<StreamMerger<QueryRow, MergeLess>::Source> sources;
-  std::vector<std::vector<Event<QueryRow>>> wrapped(partition_rows.size());
-  sources.reserve(partition_rows.size());
-  for (size_t i = 0; i < partition_rows.size(); ++i) {
-    wrapped[i].reserve(partition_rows[i].size());
-    for (QueryRow& row : partition_rows[i]) {
-      Event<QueryRow> ev;
-      ev.event_time = row.t;
-      ev.payload = std::move(row);
-      wrapped[i].push_back(std::move(ev));
-    }
-    sources.push_back(VectorSource<QueryRow>(std::move(wrapped[i])));
-  }
-  StreamMerger<QueryRow, MergeLess> merger(std::move(sources));
+  // Canonical order across partitions: stable merges in partition order,
+  // so rows `RowLess` cannot tell apart keep their partition order.
   size_t total = 0;
   for (const auto& pr : partition_rows) total += pr.size();
   result.rows.reserve(total);
-  while (auto ev = merger.Next()) {
-    result.rows.push_back(std::move(ev->payload));
+  for (const std::vector<QueryRow>& pr : partition_rows) {
+    const size_t mid = result.rows.size();
+    result.rows.insert(result.rows.end(), pr.begin(), pr.end());
+    std::inplace_merge(result.rows.begin(), result.rows.begin() + mid,
+                       result.rows.end(), RowLess);
   }
 
   for (const QueryStats& ps : partition_stats) result.stats.Merge(ps);

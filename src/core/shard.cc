@@ -1,6 +1,7 @@
 #include "core/shard.h"
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/fault.h"
@@ -45,7 +46,7 @@ PipelineShardCore::PipelineShardCore(const PipelineConfig& config,
                           // Per-source attribution (PR 2 follow-on): which
                           // context join is eating the stage's budget —
                           // batched so the point pays one stats lock.
-                          std::pair<const char*, uint64_t> attributed[3];
+                          std::pair<std::string_view, uint64_t> attributed[3];
                           size_t n = 0;
                           if (timings.zones_ran) {
                             attributed[n++] = {"zones", timings.zones_us};

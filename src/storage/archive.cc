@@ -48,6 +48,8 @@ std::shared_ptr<const ShardArchive::Segment> MakeSegment(
     const PositionBlock& block = *blocks[i];
     boxes.push_back(RTreeEntry{block.bounds, i});
     spans.push_back(IntervalEntry{block.t0, block.t1, i});
+    segment->t0 = i == 0 ? block.t0 : std::min(segment->t0, block.t0);
+    segment->t1 = i == 0 ? block.t1 : std::max(segment->t1, block.t1);
   }
   segment->blocks = std::move(blocks);
   segment->rtree = RTree(std::move(boxes));

@@ -169,12 +169,16 @@ struct ArchiveStats {
 class ShardArchive {
  public:
   /// \brief Sealed, immutable run of blocks with its own indexes (entry id
-  /// = index into `blocks`).
+  /// = index into `blocks`) and its time span, so a query whose range
+  /// covers the whole segment takes every block without stabbing the
+  /// interval index.
   struct Segment {
     /// Epoch order (within an epoch: ascending MMSI).
     std::vector<std::shared_ptr<const PositionBlock>> blocks;
     RTree rtree;
     IntervalIndex intervals;
+    Timestamp t0 = 0;  ///< earliest block `t0`
+    Timestamp t1 = 0;  ///< latest block `t1`
   };
 
   /// \brief Immutable read snapshot, published at epoch close.

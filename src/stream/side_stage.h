@@ -28,6 +28,7 @@
 /// completeness invariant generalises to
 /// `submitted == processed + queue_dropped + transform_failed`.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <chrono>
@@ -38,6 +39,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -83,7 +85,9 @@ struct SideStageStats {
   /// Per-source attribution, filled by the transform through
   /// `AsyncSideStage::AttributeSource`. Empty when the transform does not
   /// attribute.
-  std::map<std::string, SourceLatency> source_latency;
+  /// Transparent comparator: the per-point attribution looks sources up
+  /// by `std::string_view` without building a key.
+  std::map<std::string, SourceLatency, std::less<>> source_latency;
 
   uint64_t dropped() const { return queue_dropped + output_dropped; }
 
@@ -143,10 +147,14 @@ class AsyncSideStage {
 
   /// \brief Hands one item to the stage. Never blocks: a full channel
   /// evicts an item (counted in `queue_dropped`). Single producer.
-  /// Counter note: `submitted` is published after the push, so a stats
-  /// snapshot taken while the producer runs may transiently read
-  /// `processed > submitted`; the `submitted == processed + queue_dropped`
-  /// invariant holds at every quiescent point (Flush).
+  /// Counter note: in async mode `submitted` is a producer-owned relaxed
+  /// atomic, bumped *before* the push, and the stats lock is taken only
+  /// when the push evicted (or was rejected). The ring's release/acquire
+  /// hand-off and the stats lock order each bump before any count of that
+  /// item, so a `stats()` snapshot never reads fewer `submitted` than
+  /// `processed + queue_dropped + transform_failed`, never reads a smaller
+  /// `submitted` than an earlier snapshot, and the two sides are equal at
+  /// every quiescent point (Flush).
   void Submit(const In& item) {
     const TimePoint now = Clock::now();
     if (!options_.async) {
@@ -166,13 +174,15 @@ class AsyncSideStage {
       Deliver(std::move(*out), now);
       return;
     }
+    submitted_.store(submitted_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
     size_t evicted = 0;
     const bool pushed = channel_.PushEvictOldest(Item{item, now}, &evicted);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.submitted;
     if (!pushed) ++evicted;  // closed: account the rejected item itself
+    if (evicted == 0) return;
+    std::lock_guard<std::mutex> lock(mutex_);
     stats_.queue_dropped += evicted;
-    if (evicted > 0) complete_cv_.notify_all();
+    complete_cv_.notify_all();
   }
 
   /// \brief Moves the buffered outputs (delivery order) into `out`;
@@ -194,7 +204,7 @@ class AsyncSideStage {
     complete_cv_.wait(lock, [this] {
       return stats_.processed + stats_.queue_dropped +
                  stats_.transform_failed >=
-             stats_.submitted;
+             SubmittedLocked();
     });
   }
 
@@ -202,19 +212,24 @@ class AsyncSideStage {
   /// upstream source. Call from inside the transform — it runs on the
   /// worker thread in async mode, the producer thread in sync mode; either
   /// way the stats lock serialises the update.
-  void AttributeSource(const std::string& name, uint64_t micros) {
-    const std::pair<const char*, uint64_t> one[] = {{name.c_str(), micros}};
+  void AttributeSource(std::string_view name, uint64_t micros) {
+    const std::pair<std::string_view, uint64_t> one[] = {{name, micros}};
     AttributeSources(one);
   }
 
   /// \brief Batched attribution: one stats-lock acquisition for all of a
   /// transform invocation's sources (the per-point hot path).
   void AttributeSources(
-      std::span<const std::pair<const char*, uint64_t>> sources) {
+      std::span<const std::pair<std::string_view, uint64_t>> sources) {
     if (sources.empty()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, micros] : sources) {
-      SourceLatency& source = stats_.source_latency[name];
+      auto it = stats_.source_latency.find(name);
+      if (it == stats_.source_latency.end()) {
+        it = stats_.source_latency.emplace(std::string(name), SourceLatency())
+                 .first;
+      }
+      SourceLatency& source = it->second;
       ++source.calls;
       source.total_us += micros;
       source.max_us = std::max(source.max_us, micros);
@@ -227,6 +242,7 @@ class AsyncSideStage {
     if (options_.async) hop = channel_.stats();
     std::lock_guard<std::mutex> lock(mutex_);
     SideStageStats s = stats_;
+    s.submitted = SubmittedLocked();
     s.hop = hop;
     s.max_queue_depth = std::max(s.max_queue_depth, hop.depth_high_water);
     return s;
@@ -286,6 +302,12 @@ class AsyncSideStage {
     complete_cv_.notify_all();
   }
 
+  /// Caller holds mutex_. Sync mode counts under the lock; async mode in
+  /// the producer's atomic.
+  uint64_t SubmittedLocked() const {
+    return stats_.submitted + submitted_.load(std::memory_order_relaxed);
+  }
+
   static DurationMs MillisSince(TimePoint start) {
     return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
                                                                  start)
@@ -308,6 +330,8 @@ class AsyncSideStage {
   /// single consumer, so the SPSC contract holds.
   SpscLossyRing<Item> channel_;
   std::thread worker_;
+  /// Async-mode `submitted`, written only by the producer (see Submit).
+  std::atomic<uint64_t> submitted_{0};
   mutable std::mutex mutex_;
   std::condition_variable complete_cv_;
   std::deque<Out> output_;  ///< drain buffer (sink-less mode)

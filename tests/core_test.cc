@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -479,6 +484,223 @@ TEST_F(EventEngineTest, TransitingVesselNeverLoiters) {
   for (const auto& ev : events) {
     EXPECT_NE(ev.type, EventType::kLoitering);
   }
+}
+
+// Frozen reference: the loitering rule as it stood when every check
+// rescanned its window for the bounding box and the speed sum. Only what the
+// rule reads is modelled: the dark-period window clear, the port/anchorage
+// suppression and the re-alert latch. The counters show which of those
+// paths a stream exercised.
+class RescanLoiterReference {
+ public:
+  RescanLoiterReference(const ZoneDatabase* zones,
+                        const EventRuleOptions& options)
+      : zones_(zones), options_(options) {}
+
+  int dark_clears = 0;
+  int port_checks = 0;
+  int realert_suppressed = 0;
+
+  void Ingest(const ReconstructedPoint& rp, std::vector<DetectedEvent>* out) {
+    Vessel& vessel = vessels_[rp.mmsi];
+    if (rp.gap_before_ms > options_.dark_threshold_ms && vessel.has_last) {
+      vessel.window.clear();
+      ++dark_clears;
+    }
+    vessel.has_last = true;
+    bool in_port_area = false;
+    for (const GeoZone* z : zones_->ZonesAt(rp.point.position)) {
+      in_port_area |=
+          z->type == ZoneType::kPort || z->type == ZoneType::kAnchorage;
+    }
+
+    const Timestamp t = rp.point.t;
+    auto& window = vessel.window;
+    window.push_back(rp.point);
+    while (!window.empty() &&
+           t - window.front().t > options_.loiter_min_duration) {
+      window.pop_front();
+    }
+    if (in_port_area) {
+      ++port_checks;
+      return;
+    }
+    if (window.size() < 4) return;
+    if (t - window.front().t < options_.loiter_min_duration * 9 / 10) return;
+    if (vessel.last_loiter_alert != kInvalidTimestamp &&
+        t - vessel.last_loiter_alert < options_.loiter_realert_ms) {
+      ++realert_suppressed;
+      return;
+    }
+    BoundingBox box = BoundingBox::Empty();
+    double speed_sum = 0.0;
+    size_t speed_count = 0;
+    for (size_t i = 0; i < window.size(); ++i) {
+      const TrajectoryPoint& p = window[i];
+      box.Extend(p.position);
+      if (p.HasSpeed()) {
+        speed_sum += p.sog_mps;
+        ++speed_count;
+      }
+    }
+    if (speed_count == 0) return;
+    const double diag = HaversineDistance(GeoPoint(box.min_lat, box.min_lon),
+                                          GeoPoint(box.max_lat, box.max_lon));
+    const double mean_speed = speed_sum / static_cast<double>(speed_count);
+    if (diag <= 2.0 * options_.loiter_radius_m &&
+        mean_speed <= options_.loiter_max_speed_mps) {
+      vessel.last_loiter_alert = t;
+      DetectedEvent ev;
+      ev.type = EventType::kLoitering;
+      ev.start = window.front().t;
+      ev.end = t;
+      ev.vessel_a = rp.mmsi;
+      ev.where = box.Center();
+      ev.severity = 0.6;
+      ev.detected_at = t;
+      out->push_back(ev);
+    }
+  }
+
+ private:
+  struct Vessel {
+    bool has_last = false;
+    std::deque<TrajectoryPoint> window;
+    Timestamp last_loiter_alert = kInvalidTimestamp;
+  };
+
+  const ZoneDatabase* zones_;
+  EventRuleOptions options_;
+  std::map<Mmsi, Vessel> vessels_;
+};
+
+// Seeded per-vessel streams that switch between behaviours every 20–120
+// points: drifting round an anchor spot, transit, drifting inside the
+// fixture's port zone, exactly repeated coordinates, coordinates of ±0.0,
+// and drifting with mostly missing SOG. About 1% of points follow a dark
+// gap; timestamps may repeat.
+std::vector<ReconstructedPoint> RandomLoiterStreams(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ReconstructedPoint> all;
+  const GeoPoint port(41.35, 2.15);
+  for (Mmsi mmsi = 1; mmsi <= 12; ++mmsi) {
+    Timestamp t = 1700000000000 + rng.UniformInt(0, 600000);
+    GeoPoint pos(rng.Uniform(36.0, 40.0), rng.Uniform(3.0, 6.0));
+    GeoPoint anchor = pos;
+    int64_t mode = 0;
+    int64_t left = 0;
+    bool zero_lon = false;
+    double course = 0.0;
+    for (int i = 0; i < 900; ++i) {
+      if (left-- <= 0) {
+        mode = rng.UniformInt(0, 5);
+        left = rng.UniformInt(20, 120);
+        anchor = pos;
+        zero_lon = rng.Bernoulli(0.5);
+        course = rng.Uniform(0.0, 360.0);
+      }
+      ReconstructedPoint rp;
+      rp.mmsi = mmsi;
+      DurationMs dt = rng.UniformInt(0, 90) * 1000;
+      if (rng.Bernoulli(0.01)) {
+        dt = Minutes(static_cast<double>(rng.UniformInt(16, 90)));
+        rp.gap_before_ms = dt;
+        rp.starts_segment = true;
+      }
+      t += dt;
+      double sog = rng.Uniform(0.0, 1.8);
+      double missing_sog = 0.1;
+      switch (mode) {
+        case 0:  // drift round the anchor spot
+          pos = Destination(anchor, rng.Uniform(0.0, 360.0),
+                            rng.Uniform(0.0, 1500.0));
+          break;
+        case 1:  // transit
+          sog = rng.Uniform(4.0, 9.0);
+          pos = Destination(pos, course, sog * static_cast<double>(dt) / 1000);
+          break;
+        case 2:  // drift inside the port zone
+          pos = Destination(port, rng.Uniform(0.0, 360.0),
+                            rng.Uniform(0.0, 2500.0));
+          break;
+        case 3:  // exactly repeated coordinates
+          break;
+        case 4:  // signed zeros
+          pos = GeoPoint(rng.Bernoulli(0.5) ? 0.0 : -0.0,
+                         zero_lon ? (rng.Bernoulli(0.5) ? 0.0 : -0.0)
+                                  : rng.Uniform(-1e-4, 1e-4));
+          break;
+        default:  // mostly missing SOG
+          missing_sog = 0.9;
+          pos = Destination(anchor, rng.Uniform(0.0, 360.0),
+                            rng.Uniform(0.0, 800.0));
+          break;
+      }
+      rp.point.t = t;
+      rp.point.position = pos;
+      rp.point.sog_mps = rng.Bernoulli(missing_sog)
+                             ? TrajectoryPoint::Unavailable()
+                             : static_cast<float>(sog);
+      rp.point.cog_deg = static_cast<float>(course);
+      all.push_back(rp);
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const ReconstructedPoint& a, const ReconstructedPoint& b) {
+                     return a.point.t < b.point.t;
+                   });
+  return all;
+}
+
+// Field-for-field, with coordinates and severity compared by bit pattern
+// (so a -0.0 where the rescan gives +0.0 is a difference).
+std::string LoiterEventBits(const DetectedEvent& ev) {
+  return std::to_string(static_cast<int>(ev.type)) + " " +
+         std::to_string(ev.start) + " " + std::to_string(ev.end) + " " +
+         std::to_string(ev.vessel_a) + " " + std::to_string(ev.vessel_b) +
+         " " + std::to_string(std::bit_cast<uint64_t>(ev.where.lat)) + " " +
+         std::to_string(std::bit_cast<uint64_t>(ev.where.lon)) + " " +
+         std::to_string(ev.zone_id) + " " +
+         std::to_string(std::bit_cast<uint64_t>(ev.severity)) + " " +
+         std::to_string(ev.detected_at);
+}
+
+TEST_F(EventEngineTest, SlidingLoiterBoxMatchesRescanReference) {
+  EventRuleOptions opts;
+  opts.loiter_min_duration = Minutes(30);
+  opts.loiter_realert_ms = Minutes(45);
+  int total = 0, negative_zero_centres = 0;
+  int dark_clears = 0, port_checks = 0, realert_suppressed = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    VesselEventEngine engine(&zones_, opts);
+    RescanLoiterReference reference(&zones_, opts);
+    std::vector<DetectedEvent> got, want, all;
+    for (const ReconstructedPoint& rp : RandomLoiterStreams(seed)) {
+      all.clear();
+      engine.Ingest(rp, &all);
+      for (const DetectedEvent& ev : all) {
+        if (ev.type == EventType::kLoitering) got.push_back(ev);
+      }
+      reference.Ingest(rp, &want);
+    }
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(LoiterEventBits(got[i]), LoiterEventBits(want[i]))
+          << "seed " << seed << " event " << i;
+      negative_zero_centres += std::signbit(want[i].where.lat) &&
+                               want[i].where.lat == 0.0;
+    }
+    total += static_cast<int>(want.size());
+    dark_clears += reference.dark_clears;
+    port_checks += reference.port_checks;
+    realert_suppressed += reference.realert_suppressed;
+  }
+  // The streams reach every path the rule has.
+  EXPECT_GT(total, 300);
+  EXPECT_GT(negative_zero_centres, 20);
+  EXPECT_GT(dark_clears, 0);
+  EXPECT_GT(port_checks, 0);
+  EXPECT_GT(realert_suppressed, 0);
 }
 
 TEST_F(EventEngineTest, SpoofEventsFromRejections) {

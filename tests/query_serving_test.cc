@@ -371,6 +371,30 @@ TEST(ShardArchiveTest, SegmentedQueriesMatchBruteForceOverAllBlocks) {
     if (all[i].resample_ms == 0) battery.push_back(all[i]);
   }
   ASSERT_EQ(battery.size(), 4u);
+  // A time range from the middle of the oldest segment to the middle of the
+  // newest: it covers the segments between whole (every block taken
+  // without an interval stab) and cuts the two ends part way. Spans come
+  // from the blocks, and each segment's own span must match them.
+  ASSERT_GE(snap->segments.size(), 3u);
+  std::vector<std::pair<Timestamp, Timestamp>> spans;
+  for (const auto& segment : snap->segments) {
+    Timestamp lo = kMaxTimestamp, hi = kInvalidTimestamp;
+    for (const auto& block : segment->blocks) {
+      lo = std::min(lo, block->t0);
+      hi = std::max(hi, block->t1);
+    }
+    ASSERT_LT(lo, hi);
+    EXPECT_EQ(segment->t0, lo);
+    EXPECT_EQ(segment->t1, hi);
+    spans.emplace_back(lo, hi);
+  }
+  QuerySpec cut;
+  cut.t0 = (spans.front().first + spans.front().second) / 2;
+  cut.t1 = (spans.back().first + spans.back().second) / 2;
+  size_t whole = 0;
+  for (const auto& [lo, hi] : spans) whole += cut.t0 <= lo && hi <= cut.t1;
+  EXPECT_EQ(whole, spans.size() - 2);
+  battery.push_back(cut);
 
   for (size_t i = 0; i < battery.size(); ++i) {
     const QuerySpec& spec = battery[i];

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -485,6 +486,52 @@ TEST(SideStageTest, DropOldestUnderSlowTransform) {
   stage.Drain(&out);
   EXPECT_EQ(out.size(), stats.processed);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+}
+
+TEST(SideStageTest, CountersStayConsistentUnderConcurrentPolling) {
+  // A producer overruns a depth-2 ring in front of a slow transform that
+  // also fails now and then, while a third thread polls stats(). Every
+  // snapshot must account for no more items than were submitted, and the
+  // polled `submitted` (the producer's atomic) must never go backwards.
+  AsyncSideStage<int, int>::Options opts;
+  opts.queue_depth = 2;
+  opts.max_batch = 1;
+  // Calls 1, 4, 7, ... fail: the items left in the ring at Flush are
+  // always transformed, so at least the first call happens on any host.
+  int calls = 0;  // worker thread only
+  AsyncSideStage<int, int> stage(opts, [&calls](const int& v) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    if (++calls % 3 == 1) throw std::runtime_error("transform failure");
+    return v;
+  });
+  std::atomic<bool> done{false};
+  bool monotonic = true;
+  bool bounded = true;
+  std::thread poller([&] {
+    uint64_t last_submitted = 0;
+    do {
+      const SideStageStats s = stage.stats();
+      monotonic = monotonic && s.submitted >= last_submitted;
+      bounded = bounded && s.processed + s.queue_dropped +
+                                   s.transform_failed <=
+                               s.submitted;
+      last_submitted = s.submitted;
+    } while (!done.load(std::memory_order_acquire));
+  });
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) stage.Submit(i);
+  stage.Flush();
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  const SideStageStats stats = stage.stats();
+  EXPECT_EQ(stats.submitted, static_cast<uint64_t>(n));
+  EXPECT_EQ(stats.submitted,
+            stats.processed + stats.queue_dropped + stats.transform_failed);
+  EXPECT_GT(stats.queue_dropped, 0u);
+  EXPECT_GT(stats.transform_failed, 0u);
+  EXPECT_TRUE(monotonic);
+  EXPECT_TRUE(bounded);
 }
 
 TEST(SideStageTest, DrainBufferEvictsOldestWhenUnconsumed) {
