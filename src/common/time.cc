@@ -1,6 +1,5 @@
 #include "common/time.h"
 
-#include <chrono>
 #include <cstdio>
 #include <ctime>
 
@@ -42,17 +41,6 @@ Timestamp ParseTimestamp(const std::string& iso8601) {
   tm_utc.tm_sec = sec;
   const time_t secs = timegm(&tm_utc);
   return static_cast<Timestamp>(secs) * kMillisPerSecond + ms;
-}
-
-Timestamp SystemClock::Now() const {
-  using namespace std::chrono;
-  return duration_cast<milliseconds>(system_clock::now().time_since_epoch())
-      .count();
-}
-
-const SystemClock& SystemClock::Instance() {
-  static const SystemClock clock;
-  return clock;
 }
 
 }  // namespace marlin

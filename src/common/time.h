@@ -6,8 +6,7 @@
 ///
 /// All timestamps in MARLIN are milliseconds since the Unix epoch (UTC),
 /// carried as a strong-ish typedef `Timestamp`. Durations are millisecond
-/// counts. Wall-clock access is isolated in `Clock` so simulations and tests
-/// can substitute deterministic time.
+/// counts.
 
 #include <cstdint>
 #include <string>
@@ -51,36 +50,6 @@ std::string FormatTimestamp(Timestamp ts);
 /// \brief Parses "YYYY-MM-DDTHH:MM:SS[.mmm][Z]". Returns kInvalidTimestamp on
 /// malformed input.
 Timestamp ParseTimestamp(const std::string& iso8601);
-
-/// \brief Time source abstraction; production uses the system clock, tests
-/// and simulations use ManualClock.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  /// \brief Current time in epoch milliseconds.
-  virtual Timestamp Now() const = 0;
-};
-
-/// \brief Clock backed by the real system clock.
-class SystemClock : public Clock {
- public:
-  Timestamp Now() const override;
-  /// \brief Shared process-wide instance.
-  static const SystemClock& Instance();
-};
-
-/// \brief Deterministic clock advanced explicitly by the owner.
-class ManualClock : public Clock {
- public:
-  explicit ManualClock(Timestamp start = 0) : now_(start) {}
-  Timestamp Now() const override { return now_; }
-  /// \brief Moves time forward by `delta` (may be zero, never negative).
-  void Advance(DurationMs delta) { now_ += delta; }
-  void Set(Timestamp t) { now_ = t; }
-
- private:
-  Timestamp now_;
-};
 
 }  // namespace marlin
 

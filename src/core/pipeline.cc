@@ -4,6 +4,17 @@
 
 namespace marlin {
 
+size_t SortDrainedEnriched(std::vector<EnrichedPoint>* out, size_t base) {
+  std::stable_sort(out->begin() + static_cast<ptrdiff_t>(base), out->end(),
+                   [](const EnrichedPoint& a, const EnrichedPoint& b) {
+                     if (a.base.point.t != b.base.point.t) {
+                       return a.base.point.t < b.base.point.t;
+                     }
+                     return a.base.mmsi < b.base.mmsi;
+                   });
+  return out->size() - base;
+}
+
 MaritimePipeline::MaritimePipeline(const PipelineConfig& config,
                                    const ZoneDatabase* zones,
                                    const WeatherProvider* weather,
@@ -15,24 +26,11 @@ MaritimePipeline::MaritimePipeline(const PipelineConfig& config,
       pair_events_(config.events),
       dead_letters_(config.dead_letter_capacity) {}
 
-std::vector<DetectedEvent> MaritimePipeline::IngestNmea(
-    const std::string& line, Timestamp ingest_time, uint64_t source_id) {
+void MaritimePipeline::IngestRecord(const std::optional<AisMessage>& msg,
+                                    Timestamp ingest_time,
+                                    std::vector<DetectedEvent>* out) {
   if (window_line_count_ == 0) window_first_ingest_ = ingest_time;
   last_ingest_ = ingest_time;
-  // Parse + Assemble is Decode split in two (documented equivalent in
-  // ais/codec.h); the split exposes the reject reason so rejected raw lines
-  // can be dead-lettered with the same classification — and therefore the
-  // same payload stream — as the sharded pipeline's parse stage.
-  const ParsedLine parsed = AisDecoder::Parse(
-      line, ingest_time, config_.fragment_group_by_source ? source_id : 0);
-  if (!parsed.ok) {
-    dead_letters_.Push(DeadLetterReason::kBadSentence, line, ingest_time);
-  }
-  const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
-  std::optional<AisMessage> msg = decoder_.Assemble(parsed);
-  if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
-    dead_letters_.Push(DeadLetterReason::kBadPayload, line, ingest_time);
-  }
   if (msg.has_value()) {
     if (config_.enable_quality_assessment) quality_.Observe(*msg);
     ProcessDecoded(*msg, ingest_time);
@@ -40,9 +38,10 @@ std::vector<DetectedEvent> MaritimePipeline::IngestNmea(
   ++window_line_count_;
   if (WindowMustClose(config_, window_line_count_, window_first_ingest_,
                       ingest_time)) {
-    return CloseWindow(/*flush_pairs=*/false);
+    std::vector<DetectedEvent> closed = CloseWindow(/*flush_pairs=*/false);
+    out->insert(out->end(), std::make_move_iterator(closed.begin()),
+                std::make_move_iterator(closed.end()));
   }
-  return {};
 }
 
 void MaritimePipeline::ProcessDecoded(const AisMessage& msg,
@@ -96,22 +95,32 @@ void MaritimePipeline::RefreshMetrics() {
 size_t MaritimePipeline::DrainEnrichedOrdered(std::vector<EnrichedPoint>* out) {
   const size_t base = out->size();
   core_.DrainEnriched(out);
-  std::stable_sort(out->begin() + static_cast<ptrdiff_t>(base), out->end(),
-                   [](const EnrichedPoint& a, const EnrichedPoint& b) {
-                     if (a.base.point.t != b.base.point.t) {
-                       return a.base.point.t < b.base.point.t;
-                     }
-                     return a.base.mmsi < b.base.mmsi;
-                   });
-  return out->size() - base;
+  return SortDrainedEnriched(out, base);
 }
 
 std::vector<DetectedEvent> MaritimePipeline::IngestBatch(
     std::span<const Event<std::string>> nmea) {
   std::vector<DetectedEvent> all;
   for (const auto& ev : nmea) {
-    auto detected = IngestNmea(ev.payload, ev.ingest_time, ev.source_id);
-    all.insert(all.end(), detected.begin(), detected.end());
+    // Parse + Assemble is Decode split in two (documented equivalent in
+    // ais/codec.h); the split exposes the reject reason so rejected raw
+    // lines can be dead-lettered with the same classification — and
+    // therefore the same payload stream — as the sharded pipeline's parse
+    // stage.
+    const ParsedLine parsed = AisDecoder::Parse(
+        ev.payload, ev.ingest_time,
+        config_.fragment_group_by_source ? ev.source_id : 0);
+    if (!parsed.ok) {
+      dead_letters_.Push(DeadLetterReason::kBadSentence, ev.payload,
+                         ev.ingest_time);
+    }
+    const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
+    const std::optional<AisMessage> msg = decoder_.Assemble(parsed);
+    if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
+      dead_letters_.Push(DeadLetterReason::kBadPayload, ev.payload,
+                         ev.ingest_time);
+    }
+    IngestRecord(msg, ev.ingest_time, &all);
   }
   return all;
 }
@@ -120,25 +129,14 @@ std::vector<DetectedEvent> MaritimePipeline::IngestPackedBatch(
     std::span<const Event<PackedRecord>> packed) {
   std::vector<DetectedEvent> all;
   for (const auto& ev : packed) {
-    if (window_line_count_ == 0) window_first_ingest_ = ev.ingest_time;
-    last_ingest_ = ev.ingest_time;
     const uint64_t bad_before = decoder_.stats().bad_payloads;
-    std::optional<AisMessage> msg =
+    const std::optional<AisMessage> msg =
         decoder_.DecodePacked(ev.payload.bits, ev.payload.received_at);
     if (decoder_.stats().bad_payloads > bad_before) {
       // The raw bytes stayed with the sender; count without retention.
       dead_letters_.PushCount(DeadLetterReason::kBadPayload, 1);
     }
-    if (msg.has_value()) {
-      if (config_.enable_quality_assessment) quality_.Observe(*msg);
-      ProcessDecoded(*msg, ev.ingest_time);
-    }
-    ++window_line_count_;
-    if (WindowMustClose(config_, window_line_count_, window_first_ingest_,
-                        ev.ingest_time)) {
-      auto detected = CloseWindow(/*flush_pairs=*/false);
-      all.insert(all.end(), detected.begin(), detected.end());
-    }
+    IngestRecord(msg, ev.ingest_time, &all);
   }
   return all;
 }

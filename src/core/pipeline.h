@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -76,9 +77,6 @@ struct PipelineConfig {
   bool enable_anomaly = false;
   IntegrityScorer::Options integrity;
   BehaviorChangeDetector::Options anomaly;
-  /// Store full-rate trajectories (true) or synopses only (false) — the
-  /// in-situ trade-off of E12.
-  bool store_full_rate = true;
   bool enable_quality_assessment = true;
   /// Run the contextual-join side-stage at all. Off skips the stage
   /// entirely (the bench baseline for the enrichment-on/off axis).
@@ -110,11 +108,11 @@ struct PipelineConfig {
   /// Grid pitch in metres for the parallel pair stage; 0 sizes cells to the
   /// max pair-interaction radius (`events.collision_scan_radius_m`).
   double pair_cell_size_m = 0.0;
-  /// Fault tolerance for `ShardedPipeline` workers (core/supervisor.h):
-  /// crash containment, replay-based restart, restart budget, degraded
-  /// counted-drop mode. `MaritimePipeline` is single-threaded and has no
-  /// workers to supervise; it still surfaces the dead-letter and
-  /// data-at-risk half of `PipelineMetrics::health`.
+  /// Restart budget and replay-buffer bound for `ShardedPipeline`'s
+  /// always-on worker supervision (core/supervisor.h): crash containment,
+  /// replay-based restart, degraded counted-drop mode. `MaritimePipeline`
+  /// is single-threaded and has no workers to supervise; it still surfaces
+  /// the dead-letter and data-at-risk half of `PipelineMetrics::health`.
   SupervisionOptions supervision;
   /// Retained-payload capacity of the dead-letter quarantine queue.
   size_t dead_letter_capacity = 1024;
@@ -161,6 +159,11 @@ inline const PositionReport* PositionReportOf(const AisMessage& msg) {
   }
   return nullptr;
 }
+
+/// \brief Stable-sorts `out[base..]` into canonical (event-time, MMSI)
+/// order and returns its size — the shared tail of both pipelines'
+/// `DrainEnrichedOrdered`. Points before `base` are left untouched.
+size_t SortDrainedEnriched(std::vector<EnrichedPoint>* out, size_t base);
 
 /// Events at or above this severity increment the alert counter and fire
 /// the pipeline's OnAlert callback.
@@ -253,9 +256,10 @@ class MaritimePipeline {
 
   /// \brief Drains the buffered enriched points in canonical
   /// (event-time, MMSI) order — the coordinator-side merged view of §2.2's
-  /// contextually rich stream. Appends to `out`; returns how many. The
-  /// sharded pipeline's `DrainEnrichedOrdered` produces the identical
-  /// sequence for the same input, shard count notwithstanding.
+  /// contextually rich stream. Appends to `out` (sorting only the appended
+  /// range, `SortDrainedEnriched`); returns how many. The sharded
+  /// pipeline's `DrainEnrichedOrdered` produces the identical sequence for
+  /// the same input, shard count notwithstanding.
   size_t DrainEnrichedOrdered(std::vector<EnrichedPoint>* out);
 
   /// \brief Enrichment delivery barrier. A no-op here (the stage is
@@ -264,20 +268,14 @@ class MaritimePipeline {
   /// dropped.
   void FlushEnrichment() { core_.FlushEnrichment(); }
 
-  /// \brief Feeds one NMEA line with its ingest timestamp. Returns the
-  /// events finalized by this line — single-vessel events surface when the
-  /// current window closes (every `window_lines` lines or at `Finish`),
-  /// together with the window's pair events, re-sequenced canonically.
-  /// `source_id` is the feed/connection id; it becomes the reassembly salt
-  /// when `PipelineConfig::fragment_group_by_source` is on (otherwise it is
-  /// ignored, the historical behaviour).
-  std::vector<DetectedEvent> IngestNmea(const std::string& line,
-                                        Timestamp ingest_time,
-                                        uint64_t source_id = 0);
-
   /// \brief Batched ingest: feeds a span of pre-timestamped lines (arrival
-  /// order) and returns all events finalized along the way. Windows carry
-  /// over between calls; `Finish` closes the last partial window.
+  /// order) and returns all events finalized along the way — single-vessel
+  /// events surface when their window closes (every `window_lines` lines,
+  /// `window_time_ms` of ingest time, or at `Finish`), together with the
+  /// window's pair events, re-sequenced canonically. Windows carry over
+  /// between calls; `Finish` closes the last partial window. Each line's
+  /// `source_id` becomes the reassembly salt when
+  /// `PipelineConfig::fragment_group_by_source` is on.
   std::vector<DetectedEvent> IngestBatch(
       std::span<const Event<std::string>> nmea);
 
@@ -286,7 +284,7 @@ class MaritimePipeline {
   /// happened sender-side). One record advances the window exactly like one
   /// NMEA line; undecodable payloads are counted into the dead-letter
   /// ledger (`kBadPayload`, counted-only — the raw bytes stayed with the
-  /// sender). Interleaves freely with `IngestNmea`/`IngestBatch`.
+  /// sender). Interleaves freely with `IngestBatch`.
   std::vector<DetectedEvent> IngestPackedBatch(
       std::span<const Event<PackedRecord>> packed);
 
@@ -317,12 +315,21 @@ class MaritimePipeline {
   /// `PipelineConfig::archive` is disabled. Hand `{archive()}` to a
   /// `QueryEngine` for the sequential serving reference.
   const ShardArchive* archive() const { return core_.archive(); }
+  /// \brief Per-stage metrics, snapshotted at every window close: they
+  /// cover the closed windows, the same lines `ShardedPipeline::metrics()`
+  /// covers.
   const PipelineMetrics& metrics() const { return metrics_; }
   const std::vector<CriticalPoint>& synopsis_log() const {
     return core_.synopsis_log();
   }
 
  private:
+  /// The per-record step both batch entry points share once they have
+  /// decoded (and dead-lettered) a record: opens the window, runs quality +
+  /// `ProcessDecoded` on a decoded message, and appends the window's events
+  /// to `out` if this record closes it.
+  void IngestRecord(const std::optional<AisMessage>& msg,
+                    Timestamp ingest_time, std::vector<DetectedEvent>* out);
   void ProcessDecoded(const AisMessage& msg, Timestamp ingest_time);
   /// Runs the pair stage over the window's observations, re-sequences the
   /// window's events, fires alerts, refreshes metric snapshots.

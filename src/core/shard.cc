@@ -106,20 +106,10 @@ void PipelineShardCore::ProcessPoint(const ReconstructedPoint& rp,
   coverage_.Observe(rp.mmsi, rp.point.t);
 
   // Synopsis stage.
-  critical_scratch_.clear();
-  synopses_.Ingest(rp, &critical_scratch_);
-  for (const CriticalPoint& cp : critical_scratch_) {
-    synopsis_log_.push_back(cp);
-  }
+  synopses_.Ingest(rp, &synopsis_log_);
 
-  // Storage stage: full rate, or synopsis-only (in-situ mode).
-  if (config_.store_full_rate) {
-    (void)store_.Append(rp.mmsi, rp.point);
-  } else {
-    for (const CriticalPoint& cp : critical_scratch_) {
-      (void)store_.Append(cp.mmsi, cp.point);
-    }
-  }
+  // Storage stage.
+  (void)store_.Append(rp.mmsi, rp.point);
 
   // Historical archive staging: a pooled vector push per clean point, cut
   // into blocks at window close. Same clean points every arrangement, so

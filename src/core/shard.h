@@ -208,7 +208,6 @@ class PipelineShardCore {
   // Scratch buffers reused across calls to avoid per-report allocation.
   std::vector<ReconstructedPoint> points_scratch_;
   std::vector<RejectedReport> rejections_scratch_;
-  std::vector<CriticalPoint> critical_scratch_;
 };
 
 }  // namespace marlin

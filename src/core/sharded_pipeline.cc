@@ -3,11 +3,15 @@
 #include <algorithm>
 
 #include "common/fault.h"
-#include "stream/merge.h"
 
 namespace marlin {
 
 namespace {
+
+// Command-queue depth per shard. The coordinator keeps at most one window
+// in flight plus the next window's parse task, so a depth of at least 2
+// avoids push-side blocking.
+constexpr size_t kShardQueueCapacity = 4;
 
 GridPairPartitioner::Options GridPairOptions(const PipelineConfig& config) {
   GridPairPartitioner::Options options;
@@ -25,7 +29,6 @@ ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
                                  const VesselRegistry* registry_a,
                                  const VesselRegistry* registry_b)
     : config_(config),
-      options_(options),
       router_(ResolveTopologyCount(options.num_shards)),
       zones_(zones),
       weather_(weather),
@@ -40,7 +43,7 @@ ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>(
-        i, options_.queue_capacity, config_.supervision.replay_max_messages);
+        i, kShardQueueCapacity, config_.supervision.replay_max_messages);
     shard->core = std::make_unique<PipelineShardCore>(
         config_, /*async_enrichment=*/true, zones, weather, registry_a,
         registry_b, /*shard_index=*/i);
@@ -87,10 +90,8 @@ void ShardedPipeline::ExecuteParseTask(Shard* shard, ParseTask* parse) {
     // unparsed slots stay rejected (`!ok`) and surface downstream as
     // counted bad sentences + dead letters — data loss, but attributed.
     for (; j < parse->count; ++j) parse->out[j] = ParsedLine{};
-    if (config_.supervision.enabled) {
-      ++shard->sup.stats.failures;
-      ++shard->sup.stats.failures_by_site["shard.worker.parse"];
-    }
+    ++shard->sup.stats.failures;
+    ++shard->sup.stats.failures_by_site["shard.worker.parse"];
   }
   parse->done->count_down();
 }
@@ -102,12 +103,7 @@ void ShardedPipeline::RunShardTask(Shard* shard, const ShardTask& task) {
   } else {
     for (const RoutedMessage& m : *task.messages) {
       MARLIN_FAULT_POINT("shard.worker.message");
-      if (const auto* pr = std::get_if<PositionReport>(&m.payload)) {
-        shard->core->ProcessPosition(*pr, m.ingest_time, task.events,
-                                     task.pairs);
-      } else {
-        shard->core->ProcessStatic(std::get<StaticVoyageData>(m.payload));
-      }
+      m.ApplyTo(shard->core.get(), task.events, task.pairs);
     }
   }
   // Epoch close rides the worker thread (the archive's writer) and
@@ -121,12 +117,6 @@ void ShardedPipeline::RunShardTask(Shard* shard, const ShardTask& task) {
 }
 
 void ShardedPipeline::ExecuteShardTask(Shard* shard, ShardTask& task) {
-  if (!config_.supervision.enabled) {
-    // Pre-supervision behavior exactly: no buffering, no containment.
-    RunShardTask(shard, task);
-    task.done->count_down();
-    return;
-  }
   ShardSupervisor& sup = shard->sup;
   if (sup.degraded) {
     const size_t n = task.messages != nullptr ? task.messages->size() : 0;
@@ -223,11 +213,7 @@ void ShardedPipeline::ReplayShardHistory(Shard* shard, ShardTask& task) {
       shard->core->Flush(record.flush_ingest_time, events, pairs);
     } else {
       for (const RoutedMessage& m : record.messages) {
-        if (const auto* pr = std::get_if<PositionReport>(&m.payload)) {
-          shard->core->ProcessPosition(*pr, m.ingest_time, events, pairs);
-        } else {
-          shard->core->ProcessStatic(std::get<StaticVoyageData>(m.payload));
-        }
+        m.ApplyTo(shard->core.get(), events, pairs);
       }
     }
     if (record.close_epoch) (void)shard->core->CloseArchiveEpoch();
@@ -455,7 +441,7 @@ std::vector<DetectedEvent> ShardedPipeline::IngestBatch(
   std::unique_ptr<Window> in_flight;
   size_t consumed = 0;
   // Arrival order: the newest line is the span's last (same value the
-  // sequential pipeline tracks per IngestNmea call).
+  // sequential pipeline tracks per line).
   if (!nmea.empty()) last_ingest_ = nmea.back().ingest_time;
 
   // Walk the span cutting windows exactly where the sequential pipeline
@@ -576,38 +562,13 @@ size_t ShardedPipeline::DrainEnriched(std::vector<EnrichedPoint>* out) {
 }
 
 size_t ShardedPipeline::DrainEnrichedOrdered(std::vector<EnrichedPoint>* out) {
-  struct EnrichedLess {
-    bool operator()(const Event<EnrichedPoint>& a,
-                    const Event<EnrichedPoint>& b) const {
-      if (a.payload.base.point.t != b.payload.base.point.t) {
-        return a.payload.base.point.t < b.payload.base.point.t;
-      }
-      return a.payload.base.mmsi < b.payload.base.mmsi;
-    }
-  };
-  // Per-shard drains are each sorted locally (delivery order interleaves
-  // vessels), then k-way merged — reconstruction emits one point per
-  // (vessel, timestamp), and vessels never span shards, so (t, MMSI) is a
-  // total order over the merged stream.
-  std::vector<StreamMerger<EnrichedPoint, EnrichedLess>::Source> sources;
-  sources.reserve(shards_.size());
-  size_t n = 0;
-  for (auto& shard : shards_) {
-    std::vector<EnrichedPoint> drained;
-    shard->core->DrainEnriched(&drained);
-    n += drained.size();
-    std::vector<Event<EnrichedPoint>> wrapped;
-    wrapped.reserve(drained.size());
-    for (EnrichedPoint& p : drained) {
-      wrapped.emplace_back(p.base.point.t, std::move(p));
-    }
-    std::stable_sort(wrapped.begin(), wrapped.end(), EnrichedLess{});
-    sources.push_back(VectorSource<EnrichedPoint>(std::move(wrapped)));
-  }
-  StreamMerger<EnrichedPoint, EnrichedLess> merger(std::move(sources));
-  out->reserve(out->size() + n);
-  while (auto ev = merger.Next()) out->push_back(std::move(ev->payload));
-  return n;
+  // Sorting the concatenated drains equals merging them: reconstruction
+  // emits one point per (vessel, timestamp) and vessels never span shards,
+  // so (t, MMSI) keys are unique across shards, and the stable sort keeps
+  // each shard's delivery order for anything else.
+  const size_t base = out->size();
+  DrainEnriched(out);
+  return SortDrainedEnriched(out, base);
 }
 
 void ShardedPipeline::FlushEnrichment() {

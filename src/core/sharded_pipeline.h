@@ -75,11 +75,6 @@ class ShardedPipeline {
     /// Worker (= shard) count. 0 sizes the pool to the host topology
     /// (`std::thread::hardware_concurrency`, floor 1).
     size_t num_shards = 1;
-    /// Command-queue depth per shard. The coordinator keeps at most one
-    /// window in flight plus the next window's parse task, so ≥ 2 avoids
-    /// push-side blocking. The ring rounds it up to a power of two
-    /// (minimum 2).
-    size_t queue_capacity = 4;
   };
 
   /// \brief Context sources may be null. With
@@ -118,10 +113,11 @@ class ShardedPipeline {
   size_t DrainEnriched(std::vector<EnrichedPoint>* out);
 
   /// \brief Coordinator-side merged view of the enriched stream: drains
-  /// every shard's buffer and k-way-merges (stream/merge.h) into canonical
-  /// (event-time, MMSI) order. With no drops this equals the sequential
-  /// pipeline's `DrainEnrichedOrdered` output for any shard count. Appends
-  /// to `out`; returns how many. Call between ingest calls.
+  /// every shard's buffer onto `out`, then stable-sorts the appended range
+  /// into canonical (event-time, MMSI) order (`SortDrainedEnriched`, shared
+  /// with the sequential pipeline). With no drops this equals the
+  /// sequential pipeline's `DrainEnrichedOrdered` output for any shard
+  /// count. Returns how many were appended. Call between ingest calls.
   size_t DrainEnrichedOrdered(std::vector<EnrichedPoint>* out);
 
   /// \brief Enrichment delivery barrier: blocks until every point
@@ -163,6 +159,8 @@ class ShardedPipeline {
   /// \brief Merged per-stage metrics. Refreshed at the end of every
   /// IngestBatch / Finish call (shard stats are only safe to read when the
   /// workers are quiescent, so mid-batch window closes do not refresh).
+  /// They cover the closed windows only (an open window's lines are decoded
+  /// when it closes), as the sequential pipeline's do.
   const PipelineMetrics& metrics() const { return metrics_; }
 
   /// \brief Read-only view over the per-shard store partitions. Valid while
@@ -191,6 +189,17 @@ class ShardedPipeline {
   struct RoutedMessage {
     Timestamp ingest_time = kInvalidTimestamp;
     std::variant<PositionReport, StaticVoyageData> payload;
+
+    /// Feeds this message to `core` — the one dispatch a live task and a
+    /// supervised replay share.
+    void ApplyTo(PipelineShardCore* core, std::vector<DetectedEvent>* events,
+                 std::vector<PairObservation>* pairs) const {
+      if (const auto* pr = std::get_if<PositionReport>(&payload)) {
+        core->ProcessPosition(*pr, ingest_time, events, pairs);
+      } else {
+        core->ProcessStatic(std::get<StaticVoyageData>(payload));
+      }
+    }
   };
 
   /// Parallel parse of a chunk of the window's lines into pre-sized slots.
@@ -326,7 +335,6 @@ class ShardedPipeline {
   /// idempotent); opening with recovery would double-load the durable
   /// blocks. Outlives the shard cores that reference it.
   PipelineConfig rebuild_config_;
-  Options options_;
   ShardRouter router_;
   /// Context sources, retained so a supervised restart can rebuild a core.
   const ZoneDatabase* zones_ = nullptr;

@@ -40,11 +40,10 @@
 
 namespace marlin {
 
-/// \brief Supervision knobs, embedded in `PipelineConfig`.
+/// \brief Supervision knobs, embedded in `PipelineConfig`. Supervision
+/// itself is always on: every `ShardedPipeline` worker buffers its routed
+/// windows for replay and contains its failures.
 struct SupervisionOptions {
-  /// Master switch. Off restores the pre-supervision worker loops exactly
-  /// (no replay buffering, failures propagate as before).
-  bool enabled = true;
   /// Restarts allowed per worker before it degrades to counted-drop mode.
   size_t restart_budget = 3;
   /// Replay-buffer bound, in buffered routed messages per shard. The buffer

@@ -135,22 +135,6 @@ TEST(TimeTest, DurationHelpers) {
   EXPECT_EQ(Hours(1), 3600000);
 }
 
-TEST(TimeTest, ManualClockAdvances) {
-  ManualClock clock(1000);
-  EXPECT_EQ(clock.Now(), 1000);
-  clock.Advance(500);
-  EXPECT_EQ(clock.Now(), 1500);
-  clock.Set(42);
-  EXPECT_EQ(clock.Now(), 42);
-}
-
-TEST(TimeTest, SystemClockIsRecent) {
-  // Sanity: the wall clock is after 2020 and before 2100.
-  const Timestamp now = SystemClock::Instance().Now();
-  EXPECT_GT(now, 1577836800000);  // 2020-01-01
-  EXPECT_LT(now, 4102444800000);  // 2100-01-01
-}
-
 // --- Units ---------------------------------------------------------------
 
 TEST(UnitsTest, KnotsConversionRoundTrip) {

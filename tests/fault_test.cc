@@ -438,21 +438,15 @@ TEST(SupervisedPipelineTest, ExhaustedRestartBudgetDegradesAllWorkers) {
   EXPECT_GT(metrics.health.dead_letter.counted_only, 0u);
 }
 
-TEST(SupervisedPipelineTest, SupervisionOffMatchesSupervisionOn) {
+TEST(SupervisedPipelineTest, NoPlanArmedNeverEngagesSupervision) {
   const ScenarioOutput scenario = MakeScenario(946, /*perfect_reception=*/false);
-  PipelineConfig on = TestConfig();
-  PipelineConfig off = TestConfig();
-  off.supervision.enabled = false;
-
-  PipelineMetrics m_on, m_off;
-  const auto ev_on = RunSharded(on, 2, scenario, &m_on);
-  const auto ev_off = RunSharded(off, 2, scenario, &m_off);
-  ASSERT_GT(ev_on.size(), 0u);
-  ExpectSameEvents(ev_on, ev_off, /*compare_order=*/true);
+  PipelineMetrics metrics;
+  const auto events = RunSharded(TestConfig(), 2, scenario, &metrics);
+  ASSERT_GT(events.size(), 0u);
   // With no plan armed the supervision machinery never engages.
-  EXPECT_EQ(m_on.health.supervisor.failures, 0u);
-  EXPECT_EQ(m_on.health.supervisor.restarts, 0u);
-  EXPECT_EQ(m_on.health.supervisor.degraded_workers, 0u);
+  EXPECT_EQ(metrics.health.supervisor.failures, 0u);
+  EXPECT_EQ(metrics.health.supervisor.restarts, 0u);
+  EXPECT_EQ(metrics.health.supervisor.degraded_workers, 0u);
 }
 
 TEST(SupervisedPipelineTest, DeadLetterLedgersMatchSequentialPipeline) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -609,24 +610,51 @@ TEST(QueryServingTest, DrainEnrichedOrderedMatchesSequential) {
   // that outpaces its enrichment worker evicts points.
   pc.enrichment_queue_depth = 1 << 20;
   pc.enriched_output_capacity = 1 << 20;
+  // Windows close on line count alone and every full batch ends on a window
+  // boundary, so after each full batch both pipelines have processed the
+  // same lines and their drains cover the same points.
+  pc.window_time_ms = 0;
+  constexpr size_t kBatch = 1024;
+  ASSERT_EQ(kBatch % pc.window_lines, 0u);
+  const std::span<const Event<std::string>> lines(scenario.nmea);
+
+  // Every drain appends to a vector that already holds a sentinel and all
+  // earlier drains: only the appended range may be reordered.
+  EnrichedPoint sentinel;
+  sentinel.base.mmsi = 1;
+  sentinel.base.point.t = kMaxTimestamp;
+  const auto run = [&](auto& pipeline, std::vector<size_t>* drained) {
+    std::vector<EnrichedPoint> out{sentinel};
+    for (size_t off = 0; off < lines.size(); off += kBatch) {
+      const size_t take = std::min(kBatch, lines.size() - off);
+      pipeline.IngestBatch(lines.subspan(off, take));
+      if (take < kBatch) break;  // open window: drained after Finish
+      pipeline.FlushEnrichment();  // a no-op on the sequential pipeline
+      drained->push_back(pipeline.DrainEnrichedOrdered(&out));
+    }
+    pipeline.Finish();
+    drained->push_back(pipeline.DrainEnrichedOrdered(&out));
+    return out;
+  };
 
   MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
                               nullptr);
-  sequential.Run(scenario.nmea);
-  std::vector<EnrichedPoint> seq;
-  sequential.DrainEnrichedOrdered(&seq);
-  ASSERT_GT(seq.size(), 0u);
+  std::vector<size_t> seq_drains;
+  const std::vector<EnrichedPoint> seq = run(sequential, &seq_drains);
+  ASSERT_GT(seq_drains.size(), 3u);
+  ASSERT_GT(seq.size(), seq_drains.size());
+  EXPECT_EQ(seq.front().base.point.t, kMaxTimestamp);
 
   for (const size_t num_shards : {1, 3}) {
     ShardedPipeline::Options opts;
     opts.num_shards = num_shards;
     ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr, nullptr,
                             nullptr);
-    sharded.Run(scenario.nmea);
+    std::vector<size_t> shd_drains;
+    const std::vector<EnrichedPoint> shd = run(sharded, &shd_drains);
     ASSERT_EQ(sharded.metrics().enrichment_stage.queue_dropped, 0u);
 
-    std::vector<EnrichedPoint> shd;
-    sharded.DrainEnrichedOrdered(&shd);
+    EXPECT_EQ(shd_drains, seq_drains) << num_shards << " shards";
     ASSERT_EQ(shd.size(), seq.size()) << num_shards << " shards";
     for (size_t i = 0; i < seq.size(); ++i) {
       EXPECT_EQ(seq[i].base.mmsi, shd[i].base.mmsi) << "at " << i;

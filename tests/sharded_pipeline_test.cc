@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -201,8 +202,7 @@ TEST(ShardedPipelineTest, TimeCapClosesWindowsOnLowRateFeeds) {
                               nullptr);
   size_t seq_before_finish = 0;
   for (const auto& ev : scenario.nmea) {
-    seq_before_finish +=
-        sequential.IngestNmea(ev.payload, ev.ingest_time).size();
+    seq_before_finish += sequential.IngestBatch(std::span(&ev, 1)).size();
   }
   const auto seq_tail = sequential.Finish();
   EXPECT_GT(seq_before_finish, 0u) << "no window closed before Finish";
@@ -216,6 +216,57 @@ TEST(ShardedPipelineTest, TimeCapClosesWindowsOnLowRateFeeds) {
   const auto sharded_tail = sharded.Finish();
   EXPECT_EQ(sharded_before_finish, seq_before_finish);
   EXPECT_EQ(sharded_tail.size(), seq_tail.size());
+}
+
+TEST(ShardedPipelineTest, OpenWindowMetricsMatchSequential) {
+  // metrics() describes the closed windows on both pipelines: the sharded
+  // coordinator decodes a window's lines only once it closes, and the
+  // sequential pipeline refreshes its snapshot at each window close. So
+  // after a batch that leaves a window open, both report the same non-zero
+  // decoder and dead-letter counters, and the open window's reject surfaces
+  // on both at Finish.
+  const ScenarioOutput scenario = MakeScenario(906, /*perfect_reception=*/true);
+  PipelineConfig pc;
+  pc.window_lines = 512;
+  pc.window_time_ms = 0;  // only the line budget closes windows
+  std::vector<Event<std::string>> batch(scenario.nmea.begin(),
+                                        scenario.nmea.begin() + 800);
+  for (const size_t i : {100, 600}) {  // one reject per window
+    std::string& bad = batch[i].payload;
+    bad.back() = bad.back() == '0' ? '1' : '0';  // flipped checksum digit
+  }
+
+  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
+                              nullptr);
+  ShardedPipeline::Options opts;
+  opts.num_shards = 2;
+  ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr, nullptr,
+                          nullptr);
+  const size_t bad_sentence =
+      static_cast<size_t>(DeadLetterReason::kBadSentence);
+  const auto expect_same = [&](uint64_t lines, uint64_t rejects) {
+    const PipelineMetrics& seq = sequential.metrics();
+    const PipelineMetrics& shd = sharded.metrics();
+    EXPECT_EQ(seq.decoder.lines_in, lines);
+    EXPECT_EQ(seq.decoder.bad_sentences, rejects);
+    EXPECT_EQ(seq.health.dead_letter.by_reason[bad_sentence], rejects);
+    EXPECT_GT(seq.decoder.messages_out, 0u);
+    EXPECT_EQ(shd.decoder.lines_in, seq.decoder.lines_in);
+    EXPECT_EQ(shd.decoder.messages_out, seq.decoder.messages_out);
+    EXPECT_EQ(shd.decoder.bad_sentences, seq.decoder.bad_sentences);
+    EXPECT_EQ(shd.decoder.bad_payloads, seq.decoder.bad_payloads);
+    EXPECT_EQ(shd.decoder.pending_fragments, seq.decoder.pending_fragments);
+    EXPECT_EQ(shd.health.dead_letter.total(), seq.health.dead_letter.total());
+    EXPECT_EQ(shd.health.dead_letter.by_reason[bad_sentence],
+              seq.health.dead_letter.by_reason[bad_sentence]);
+  };
+
+  sequential.IngestBatch(batch);
+  sharded.IngestBatch(batch);
+  expect_same(/*lines=*/512, /*rejects=*/1);  // the second window is open
+  sequential.Finish();
+  sharded.Finish();
+  expect_same(/*lines=*/800, /*rejects=*/2);
 }
 
 // --- Grid-parallel pair stage (scenario replay) ------------------------------

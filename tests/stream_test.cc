@@ -1,5 +1,5 @@
-// Unit tests for marlin_stream: queues, watermarks, reordering, windows,
-// merging, rate metering.
+// Unit tests for marlin_stream: queues, watermarks, reordering, rate
+// metering, side-stages.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +12,11 @@
 
 #include "common/rng.h"
 #include "stream/event.h"
-#include "stream/merge.h"
 #include "stream/queue.h"
 #include "stream/rate.h"
 #include "stream/reorder.h"
 #include "stream/side_stage.h"
 #include "stream/watermark.h"
-#include "stream/window.h"
 
 namespace marlin {
 namespace {
@@ -217,115 +215,6 @@ TEST(ReorderTest, EmitLateOptionKeepsThem) {
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(buffer.stats().late, 1u);
   EXPECT_EQ(buffer.stats().dropped_late, 0u);
-}
-
-// --- TumblingWindow ---------------------------------------------------------
-
-TEST(TumblingWindowTest, CountsPerKeyPerWindow) {
-  TumblingWindow<int, int, int> win(
-      1000, [](int* acc, const int& v, Timestamp) { *acc += v; });
-  win.Add(1, Event<int>(100, 5));
-  win.Add(1, Event<int>(900, 7));
-  win.Add(2, Event<int>(500, 1));
-  win.Add(1, Event<int>(1100, 9));  // next window
-  std::vector<WindowResult<int, int>> out;
-  win.AdvanceWatermark(1000, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].key, 1);
-  EXPECT_EQ(out[0].aggregate, 12);
-  EXPECT_EQ(out[1].key, 2);
-  EXPECT_EQ(out[1].aggregate, 1);
-  EXPECT_EQ(win.open_windows(), 1u);
-  win.Close(&out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[2].aggregate, 9);
-}
-
-TEST(TumblingWindowTest, AlignmentBoundaries) {
-  TumblingWindow<int, int, int> win(
-      1000, [](int* acc, const int&, Timestamp) { *acc += 1; });
-  win.Add(0, Event<int>(999, 0));
-  win.Add(0, Event<int>(1000, 0));  // belongs to the NEXT window
-  std::vector<WindowResult<int, int>> out;
-  win.Close(&out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].window_start, 0);
-  EXPECT_EQ(out[0].window_end, 1000);
-  EXPECT_EQ(out[1].window_start, 1000);
-}
-
-TEST(TumblingWindowTest, WatermarkDoesNotCloseOpenWindows) {
-  TumblingWindow<int, int, int> win(
-      1000, [](int* acc, const int&, Timestamp) { *acc += 1; });
-  win.Add(0, Event<int>(500, 0));
-  std::vector<WindowResult<int, int>> out;
-  win.AdvanceWatermark(999, &out);
-  EXPECT_TRUE(out.empty());
-  win.AdvanceWatermark(1000, &out);
-  EXPECT_EQ(out.size(), 1u);
-}
-
-// --- SlidingWindow ---------------------------------------------------------
-
-TEST(SlidingWindowTest, EventEntersOverlappingPanes) {
-  // size 1000, slide 500: each event lands in two panes.
-  SlidingWindow<int, int, int> win(
-      1000, 500, [](int* acc, const int&, Timestamp) { *acc += 1; });
-  win.Add(0, Event<int>(750, 0));
-  std::vector<WindowResult<int, int>> out;
-  win.Close(&out);
-  ASSERT_EQ(out.size(), 2u);
-  std::vector<Timestamp> starts = {out[0].window_start, out[1].window_start};
-  std::sort(starts.begin(), starts.end());
-  EXPECT_EQ(starts[0], 0);
-  EXPECT_EQ(starts[1], 500);
-}
-
-TEST(SlidingWindowTest, AggregatesAcrossPanes) {
-  SlidingWindow<int, int, int> win(
-      2000, 1000, [](int* acc, const int& v, Timestamp) { *acc += v; });
-  win.Add(7, Event<int>(100, 1));
-  win.Add(7, Event<int>(1100, 10));
-  win.Add(7, Event<int>(2100, 100));
-  std::vector<WindowResult<int, int>> out;
-  win.Close(&out);
-  // Panes: [-1000,1000)=1? No: starts at 0 and -1000... events assign to
-  // panes [0,2000)={1,10}, [1000,3000)={10,100}, [2000,4000)={100},
-  // [-1000,1000)={1}.
-  ASSERT_EQ(out.size(), 4u);
-  int64_t total = 0;
-  for (const auto& w : out) total += w.aggregate;
-  EXPECT_EQ(total, 2 * (1 + 10 + 100));
-}
-
-// --- StreamMerger ---------------------------------------------------------
-
-TEST(MergeTest, GlobalEventTimeOrder) {
-  std::vector<Event<int>> a, b, c;
-  for (int i = 0; i < 50; ++i) a.push_back(Event<int>(i * 30, 100 + i));
-  for (int i = 0; i < 50; ++i) b.push_back(Event<int>(i * 50 + 7, 200 + i));
-  for (int i = 0; i < 20; ++i) c.push_back(Event<int>(i * 111 + 3, 300 + i));
-  StreamMerger<int> merger(
-      {VectorSource(a), VectorSource(b), VectorSource(c)});
-  const auto merged = merger.DrainAll();
-  EXPECT_EQ(merged.size(), 120u);
-  for (size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_LE(merged[i - 1].event_time, merged[i].event_time);
-  }
-}
-
-TEST(MergeTest, HandlesEmptySources) {
-  StreamMerger<int> merger({VectorSource(std::vector<Event<int>>{}),
-                            VectorSource(std::vector<Event<int>>{
-                                Event<int>(5, 1)})});
-  const auto merged = merger.DrainAll();
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].payload, 1);
-}
-
-TEST(MergeTest, AllEmpty) {
-  StreamMerger<int> merger({});
-  EXPECT_FALSE(merger.Next().has_value());
 }
 
 // --- RateMeter / LatencyReservoir ------------------------------------------
