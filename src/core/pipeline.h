@@ -83,8 +83,10 @@ struct PipelineConfig {
   bool enable_enrichment = true;
   /// Enrichment side-stage input queue depth, per shard. The stage never
   /// blocks ingest: overflow evicts the oldest queued point and counts it
-  /// in `PipelineMetrics::enrichment_stage.queue_dropped`.
-  size_t enrichment_queue_depth = 1024;
+  /// in `PipelineMetrics::enrichment_stage.queue_dropped`. The worker is
+  /// woken once per window (or at half depth), so the default holds one
+  /// default window's burst (`window_lines`).
+  size_t enrichment_queue_depth = 4096;
   /// Capacity of the per-shard enriched drain buffer used when no sink is
   /// registered; overflow evicts the oldest buffered point (counted).
   size_t enriched_output_capacity = 8192;

@@ -107,6 +107,11 @@ class PipelineShardCore {
   /// (delivered to the sink / drain buffer) or counted as dropped.
   void FlushEnrichment() { enrichment_stage_.Flush(); }
 
+  /// \brief Ends a burst of clean points: points are handed to the async
+  /// enrichment stage without waking its worker, so the caller rings the
+  /// doorbell once per batch (the sharded pipeline: per window task).
+  void WakeEnrichment() { enrichment_stage_.Wake(); }
+
   /// \brief While set, clean points skip the enrichment side-stage and are
   /// counted instead. The supervisor sets this during a restart's history
   /// replay: re-submitting replayed points would emit duplicate enriched

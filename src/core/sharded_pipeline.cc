@@ -8,9 +8,10 @@ namespace marlin {
 
 namespace {
 
-// Command-queue depth per shard. The coordinator keeps at most one window
-// in flight plus the next window's parse task, so a depth of at least 2
-// avoids push-side blocking.
+// Command-queue depth per shard. The coordinator keeps at most two windows
+// queued per shard (the one being merged and the one just dispatched, or
+// Finish's tail + flush pair), so a depth of at least 2 avoids push-side
+// blocking.
 constexpr size_t kShardQueueCapacity = 4;
 
 GridPairPartitioner::Options GridPairOptions(const PipelineConfig& config) {
@@ -63,37 +64,11 @@ ShardedPipeline::~ShardedPipeline() {
 }
 
 void ShardedPipeline::WorkerLoop(Shard* shard) {
-  std::vector<Command> batch;
+  std::vector<ShardTask> batch;
   while (shard->queue.PopBatch(&batch, 8) > 0) {
-    for (Command& cmd : batch) {
-      if (auto* parse = std::get_if<ParseTask>(&cmd)) {
-        ExecuteParseTask(shard, parse);
-      } else {
-        ExecuteShardTask(shard, std::get<ShardTask>(cmd));
-      }
-    }
+    for (ShardTask& task : batch) ExecuteShardTask(shard, task);
     batch.clear();
   }
-}
-
-void ShardedPipeline::ExecuteParseTask(Shard* shard, ParseTask* parse) {
-  size_t j = 0;
-  try {
-    for (; j < parse->count; ++j) {
-      MARLIN_FAULT_POINT("shard.worker.parse");
-      parse->out[j] = AisDecoder::Parse(
-          parse->lines[j].payload, parse->lines[j].ingest_time,
-          config_.fragment_group_by_source ? parse->lines[j].source_id : 0);
-    }
-  } catch (...) {
-    // Parsing is stateless, so containment is the whole recovery: the
-    // unparsed slots stay rejected (`!ok`) and surface downstream as
-    // counted bad sentences + dead letters — data loss, but attributed.
-    for (; j < parse->count; ++j) parse->out[j] = ParsedLine{};
-    ++shard->sup.stats.failures;
-    ++shard->sup.stats.failures_by_site["shard.worker.parse"];
-  }
-  parse->done->count_down();
 }
 
 void ShardedPipeline::RunShardTask(Shard* shard, const ShardTask& task) {
@@ -131,12 +106,15 @@ void ShardedPipeline::ExecuteShardTask(Shard* shard, ShardTask& task) {
   }
   // Buffer the raw input BEFORE executing: a mid-task crash leaves the core
   // half-advanced, so recovery must rebuild from scratch and replay the
-  // full history *including* this task.
-  sup.replay.Append(WindowRecord{
-      task.window_seq, task.messages == nullptr, task.flush_ingest_time,
-      task.close_epoch,
-      task.messages != nullptr ? *task.messages
-                               : std::vector<RoutedMessage>{}});
+  // full history *including* this task. A truncated history can never be
+  // replayed (the next failure degrades), so it is no longer fed.
+  if (!sup.replay.truncated()) {
+    sup.replay.Append(WindowRecord{
+        task.window_seq, task.messages == nullptr, task.flush_ingest_time,
+        task.close_epoch,
+        task.messages != nullptr ? *task.messages
+                                 : std::vector<RoutedMessage>{}});
+  }
   bool replayed = false;
   while (true) {
     std::string failure_site;
@@ -165,6 +143,9 @@ void ShardedPipeline::ExecuteShardTask(Shard* shard, ShardTask& task) {
     RebuildShardCore(shard);
     replayed = true;
   }
+  // One enrichment doorbell per task: the task's points were published
+  // without waking the stage's worker.
+  shard->core->WakeEnrichment();
   task.done->count_down();
 }
 
@@ -241,30 +222,6 @@ void ShardedPipeline::EnterDegradedMode(Shard* shard, ShardTask& task) {
   }
 }
 
-void ShardedPipeline::ParseWindow(std::span<const Event<std::string>> lines,
-                                  Window* window) {
-  const size_t n = lines.size();
-  const size_t shard_count = shards_.size();
-  window->parsed.resize(n);
-  const size_t chunk = (n + shard_count - 1) / shard_count;
-  size_t tasks = 0;
-  for (size_t s = 0; s < shard_count && s * chunk < n; ++s) ++tasks;
-  std::latch parse_done(static_cast<ptrdiff_t>(tasks));
-  for (size_t s = 0; s < tasks; ++s) {
-    const size_t begin = s * chunk;
-    const size_t count = std::min(chunk, n - begin);
-    shards_[s]->queue.Push(Command(ParseTask{lines.data() + begin,
-                                             window->parsed.data() + begin,
-                                             count, &parse_done}));
-  }
-  // The decoder overrides receiver time from TAG blocks; the stream-level
-  // ingest timestamps (rate meter, end-to-end latency) use the original
-  // arrival time, so keep it per line.
-  window->ingest_times.resize(n);
-  for (size_t i = 0; i < n; ++i) window->ingest_times[i] = lines[i].ingest_time;
-  parse_done.wait();
-}
-
 std::unique_ptr<ShardedPipeline::Window> ShardedPipeline::AcquireWindow() {
   if (!window_pool_.empty()) {
     std::unique_ptr<Window> window = std::move(window_pool_.back());
@@ -279,7 +236,7 @@ void ShardedPipeline::ReleaseWindow(std::unique_ptr<Window> window) {
   window_pool_.push_back(std::move(window));
 }
 
-void ShardedPipeline::AssembleAndRoute(
+void ShardedPipeline::DecodeAndRoute(
     Window* window, std::span<const Event<std::string>> lines) {
   const size_t shard_count = shards_.size();
   // Size the per-shard slots; the inner vectors are empty already — fresh
@@ -290,21 +247,26 @@ void ShardedPipeline::AssembleAndRoute(
   window->pairs.resize(shard_count);
 
   // Assembly is stateful across the whole stream (fragment groups can span
-  // windows) and therefore runs here, in arrival order. Rejected lines are
-  // dead-lettered from the raw window at the same index, with the same
+  // windows) and therefore runs here, in arrival order; the stateless parse
+  // runs beside it, on the same thread, while the shard workers process the
+  // previous window. Rejected lines are dead-lettered with the same
   // classification — and therefore the same ledger — as the sequential
-  // pipeline's ingest path.
-  for (size_t i = 0; i < window->parsed.size(); ++i) {
-    const ParsedLine& parsed = window->parsed[i];
-    const Timestamp ingest_time = window->ingest_times[i];
+  // pipeline's ingest path. The decoder overrides receiver time from TAG
+  // blocks; the stream-level ingest timestamps (rate meter, end-to-end
+  // latency) use the original arrival time.
+  for (const Event<std::string>& line : lines) {
+    const Timestamp ingest_time = line.ingest_time;
+    const ParsedLine parsed = AisDecoder::Parse(
+        line.payload, ingest_time,
+        config_.fragment_group_by_source ? line.source_id : 0);
     if (!parsed.ok) {
-      dead_letters_.Push(DeadLetterReason::kBadSentence, lines[i].payload,
+      dead_letters_.Push(DeadLetterReason::kBadSentence, line.payload,
                          ingest_time);
     }
     const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
     std::optional<AisMessage> msg = decoder_.Assemble(parsed);
     if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
-      dead_letters_.Push(DeadLetterReason::kBadPayload, lines[i].payload,
+      dead_letters_.Push(DeadLetterReason::kBadPayload, line.payload,
                          ingest_time);
     }
     if (!msg.has_value()) continue;
@@ -326,16 +288,16 @@ void ShardedPipeline::AssembleAndRoute(
 void ShardedPipeline::DispatchShardTasks(Window* window, uint64_t window_seq,
                                          bool close_epoch) {
   for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->queue.Push(Command(
+    shards_[s]->queue.Push(
         ShardTask{&window->routed[s], &window->events[s], &window->pairs[s],
                   window->shards_done.get(), kInvalidTimestamp, close_epoch,
-                  window_seq}));
+                  window_seq});
   }
 }
 
 void ShardedPipeline::DispatchWindow(Window* window,
                                      std::span<const Event<std::string>> lines) {
-  AssembleAndRoute(window, lines);
+  DecodeAndRoute(window, lines);
   window->shards_done =
       std::make_unique<std::latch>(static_cast<ptrdiff_t>(shards_.size()));
   DispatchShardTasks(window, ++next_window_seq_);
@@ -468,19 +430,12 @@ std::vector<DetectedEvent> ShardedPipeline::IngestBatch(
 
     std::unique_ptr<Window> window = AcquireWindow();
     if (pending_lines_.empty()) {
-      const auto window_lines = nmea.subspan(consumed, end - consumed);
-      ParseWindow(window_lines, window.get());
-      DispatchWindow(window.get(), window_lines);
+      DispatchWindow(window.get(), nmea.subspan(consumed, end - consumed));
     } else {
       pending_lines_.insert(pending_lines_.end(), nmea.begin() + consumed,
                             nmea.begin() + end);
-      const auto window_lines =
-          std::span<const Event<std::string>>(pending_lines_);
-      ParseWindow(window_lines, window.get());
-      // Parsed sentences are zero-copy views into the line buffers, so the
-      // pending lines must stay alive until the window is assembled and
-      // routed (DispatchWindow) — only then may they be dropped.
-      DispatchWindow(window.get(), window_lines);
+      DispatchWindow(window.get(),
+                     std::span<const Event<std::string>>(pending_lines_));
       pending_lines_.clear();
     }
     consumed = end;
@@ -514,11 +469,7 @@ std::vector<DetectedEvent> ShardedPipeline::Finish() {
   const size_t shard_count = shards_.size();
   Window window;
   const bool has_lines = !pending_lines_.empty();
-  if (has_lines) {
-    ParseWindow(std::span<const Event<std::string>>(pending_lines_), &window);
-  }
-  AssembleAndRoute(&window,
-                   std::span<const Event<std::string>>(pending_lines_));
+  DecodeAndRoute(&window, std::span<const Event<std::string>>(pending_lines_));
   // Each shard gets its window task (if any lines remain) plus a flush task,
   // queued back-to-back so both write the shard's slots in order. The two
   // tasks share one window sequence — they are one window, and a supervised
@@ -535,10 +486,10 @@ std::vector<DetectedEvent> ShardedPipeline::Finish() {
     pending_lines_.clear();
   }
   for (size_t s = 0; s < shard_count; ++s) {
-    shards_[s]->queue.Push(Command(
+    shards_[s]->queue.Push(
         ShardTask{nullptr, &window.events[s], &window.pairs[s],
                   window.shards_done.get(), last_ingest_,
-                  /*close_epoch=*/true, window_seq}));
+                  /*close_epoch=*/true, window_seq});
   }
   std::vector<DetectedEvent> all;
   MergeWindow(&window, /*flush_pairs=*/true, &all);

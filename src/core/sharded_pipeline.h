@@ -7,17 +7,18 @@
 /// Stage graph (N = number of shards):
 ///
 ///   NMEA lines (arrival order, windows of `window_lines`)
-///        │ parse: stateless, chunked across the N shard workers
 ///        ▼
-///   coordinator: fragment reassembly + bit decode (stateful, in order)
+///   coordinator: parse + fragment reassembly + bit decode (stateful, in
+///        order), overlapped with the shard workers running the previous
+///        window
 ///        │ route by splitmix64(MMSI) % N
 ///        ▼
 ///   N × PipelineShardCore (reconstruction → synopses → store partition →
 ///        single-vessel event rules), one thread each, fed through a
 ///        lock-free SpscRing (the coordinator is each command queue's only
 ///        producer) — each core also feeds an async enrichment side-stage
-///        (own worker + bounded lossy ring) whose output surfaces through
-///        SetEnrichedSink / DrainEnriched
+///        (own worker + bounded lossy ring, doorbell rung once per window)
+///        whose output surfaces through SetEnrichedSink / DrainEnriched
 ///        │ merge: pair observations sorted by (event time, MMSI)
 ///        ▼
 ///   coordinator: pair stage (rendezvous / collision) — sequential
@@ -202,14 +203,6 @@ class ShardedPipeline {
     }
   };
 
-  /// Parallel parse of a chunk of the window's lines into pre-sized slots.
-  struct ParseTask {
-    const Event<std::string>* lines = nullptr;
-    ParsedLine* out = nullptr;
-    size_t count = 0;
-    std::latch* done = nullptr;
-  };
-
   /// One window's routed work for one shard (outputs owned by the window).
   struct ShardTask {
     std::vector<RoutedMessage>* messages = nullptr;  ///< null for flush
@@ -251,23 +244,17 @@ class ShardedPipeline {
     bool degraded = false;
   };
 
-  using Command = std::variant<ParseTask, ShardTask>;
-
   /// All coordinator-side state of one in-flight window. Windows are
   /// pooled: `Reset` clears every vector but keeps its capacity, so a
   /// steady stream reuses two windows' buffers instead of reallocating
   /// per window.
   struct Window {
-    std::vector<ParsedLine> parsed;
-    std::vector<Timestamp> ingest_times;  ///< original per-line ingest time
     std::vector<std::vector<RoutedMessage>> routed;      // per shard
     std::vector<std::vector<DetectedEvent>> events;      // per shard
     std::vector<std::vector<PairObservation>> pairs;     // per shard
     std::unique_ptr<std::latch> shards_done;
 
     void Reset() {
-      parsed.clear();
-      ingest_times.clear();
       for (auto& r : routed) r.clear();
       for (auto& e : events) e.clear();
       for (auto& p : pairs) p.clear();
@@ -282,15 +269,12 @@ class ShardedPipeline {
     std::unique_ptr<PipelineShardCore> core;
     /// Command hop. The coordinator is the only producer and the shard
     /// worker the only consumer, so the SPSC contract holds.
-    SpscRing<Command> queue;
+    SpscRing<ShardTask> queue;
     ShardSupervisor sup;  ///< worker-thread state (stats read when quiescent)
     std::thread thread;
   };
 
   void WorkerLoop(Shard* shard);
-  /// Parse chunk with crash containment (parsing is stateless: a failure
-  /// leaves the remaining slots rejected-and-counted, no restart needed).
-  void ExecuteParseTask(Shard* shard, ParseTask* parse);
   /// Supervised ShardTask execution: run, and on failure restart-replay or
   /// degrade per the supervision options. Always counts the latch down.
   void ExecuteShardTask(Shard* shard, ShardTask& task);
@@ -308,18 +292,16 @@ class ShardedPipeline {
   /// Window pool (coordinator thread only).
   std::unique_ptr<Window> AcquireWindow();
   void ReleaseWindow(std::unique_ptr<Window> window);
-  /// Parses `lines` across the shard workers (blocking) into `window`.
-  void ParseWindow(std::span<const Event<std::string>> lines, Window* window);
-  /// Assembles parsed lines (stateful, arrival order) and routes the decoded
-  /// messages into the window's per-shard slices. `lines` is the raw window
-  /// (same span ParseWindow consumed): rejected lines are dead-lettered from
-  /// it with the same classification the sequential pipeline applies.
-  void AssembleAndRoute(Window* window,
-                        std::span<const Event<std::string>> lines);
+  /// Parses and assembles `lines` (stateful, arrival order) on the
+  /// coordinator and routes the decoded messages into the window's
+  /// per-shard slices — the sequential pipeline's per-line decode, so
+  /// rejected lines are dead-lettered with the same classification.
+  void DecodeAndRoute(Window* window,
+                      std::span<const Event<std::string>> lines);
   /// Enqueues one ShardTask per shard for the window (non-blocking).
   void DispatchShardTasks(Window* window, uint64_t window_seq,
                           bool close_epoch = true);
-  /// AssembleAndRoute + latch setup + DispatchShardTasks.
+  /// DecodeAndRoute + latch setup + DispatchShardTasks.
   void DispatchWindow(Window* window,
                       std::span<const Event<std::string>> lines);
   /// Waits for the window's shards, runs the pair stage, re-sequences,

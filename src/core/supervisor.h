@@ -47,10 +47,10 @@ struct SupervisionOptions {
   /// Restarts allowed per worker before it degrades to counted-drop mode.
   size_t restart_budget = 3;
   /// Replay-buffer bound, in buffered routed messages per shard. The buffer
-  /// always retains the in-flight window; beyond the bound the oldest
-  /// complete windows are evicted, after which a failure can no longer be
-  /// repaired by replay (full-history determinism is lost) and the worker
-  /// degrades instead.
+  /// always retains the in-flight window; once the bound would evict an
+  /// older window the history is truncated and freed, after which a failure
+  /// can no longer be repaired by replay (full-history determinism is lost)
+  /// and the worker degrades instead.
   size_t replay_max_messages = 1 << 16;
 };
 
@@ -108,6 +108,11 @@ struct PipelineHealth {
 /// \brief Bounded FIFO of per-window raw input, the fuel for a supervised
 /// restart. Owned by its worker thread — no locking.
 ///
+/// Truncation is terminal: a history that lost its oldest window can never
+/// rebuild a core, so the first eviction frees every held record and later
+/// appends are no-ops until `Clear`. The owner may skip building records
+/// once `truncated()` is set.
+///
 /// `Record` supplies `uint64_t seq` (coordinator-assigned window sequence;
 /// the two records of a Finish window share one) and a `messages` vector.
 template <typename Record>
@@ -115,27 +120,28 @@ class ReplayBuffer {
  public:
   explicit ReplayBuffer(size_t max_messages) : max_messages_(max_messages) {}
 
-  /// \brief Appends the record, then evicts oldest windows past the bound.
-  /// Records carrying the just-appended seq are never evicted: the
-  /// in-flight window must stay replayable for the restart that is about to
-  /// consume it.
+  /// \brief Appends the record. Past the bound, if an older window would
+  /// have to be evicted, the history is truncated instead: every record is
+  /// freed and `truncated()` set. A window alone past the bound (only
+  /// records carrying the just-appended seq) is kept: the in-flight window
+  /// must stay replayable for the restart that is about to consume it.
   void Append(Record record) {
+    if (truncated_) return;
     total_ += record.messages.size();
-    const uint64_t seq = record.seq;
     windows_.push_back(std::move(record));
-    while (total_ > max_messages_ && windows_.size() > 1 &&
-           windows_.front().seq != seq) {
-      total_ -= windows_.front().messages.size();
-      windows_.pop_front();
+    if (total_ > max_messages_ &&
+        windows_.front().seq != windows_.back().seq) {
+      windows_.clear();
+      total_ = 0;
       truncated_ = true;
     }
   }
 
   const std::deque<Record>& windows() const { return windows_; }
 
-  /// \brief True once any window has been evicted: a rebuild can no longer
+  /// \brief True once the bound forced an eviction: a rebuild can no longer
   /// replay full history, so the next failure degrades instead. Sticky
-  /// until `Clear`.
+  /// until `Clear`; the held history is empty while it is set.
   bool truncated() const { return truncated_; }
 
   size_t total_messages() const { return total_; }

@@ -26,10 +26,16 @@
 ///
 /// Close/drain protocol matches `SpscRing`: after `Close()`, pushes are
 /// rejected and pops drain the remaining items then report end-of-stream.
-/// The consumer parks on a doorbell after spinning; the producer rings it
-/// only when a waiter registered. The park protocol runs seq_cst on both
-/// sides (this ring serves the lossy side-stage hop, not the router hot
-/// path, so it skips `SpscRing`'s asymmetric-membarrier optimisation).
+/// The consumer parks on a doorbell after spinning. The doorbell is
+/// *deferred*: a push publishes without ringing it until the backlog
+/// reaches half the capacity, so a burst costs at most one wake-up
+/// syscall per half ring, not one per item. Below that mark the producer rings it
+/// explicitly (`Wake`) at the end of a burst; a consumer with its own
+/// latency budget may otherwise sit parked on a non-empty ring. Either
+/// ring happens only when a waiter registered. The park protocol runs
+/// seq_cst on both sides (this ring serves the lossy side-stage hop, not
+/// the router hot path, so it skips `SpscRing`'s asymmetric-membarrier
+/// optimisation).
 
 #include <atomic>
 #include <bit>
@@ -79,6 +85,7 @@ class SpscLossyRing {
   /// \brief Never blocks: a full ring evicts the *oldest* queued item to
   /// make room (each eviction counted into `*evicted`). Returns false only
   /// when the ring is closed — the item is rejected and `*evicted` is 0.
+  /// Wakes a parked consumer only once the ring is half full (see `Wake`).
   bool PushEvictOldest(T item, size_t* evicted) {
     *evicted = 0;
     if (closed_.load(std::memory_order_acquire)) return false;
@@ -108,15 +115,26 @@ class SpscLossyRing {
     }
     cell.item = std::move(item);
     cell.seq.store(t + 1, std::memory_order_release);
-    MaxRelaxed(&depth_high_water_,
-               static_cast<size_t>(t + 1 - head_.load(std::memory_order_relaxed)));
+    // A stale head only overstates the depth: the half-full wake is never
+    // missed, at worst rung early.
+    const size_t depth =
+        static_cast<size_t>(t + 1 - head_.load(std::memory_order_relaxed));
+    MaxRelaxed(&depth_high_water_, depth);
     tail_.store(t + 1, std::memory_order_seq_cst);
+    if (depth >= cells_.size() / 2) Wake();
+    return true;
+  }
+
+  /// \brief Rings the doorbell if the consumer is parked, so it drains what
+  /// was published. Call after the producer's last push of a burst; safe
+  /// from any thread that happens-after that push (the seq_cst tail store
+  /// and waiter check pair with the consumer's park, as in `Close`).
+  void Wake() {
     if (pop_waiters_.load(std::memory_order_seq_cst) != 0) {
       pop_doorbell_.fetch_add(1, std::memory_order_release);
       pop_doorbell_.notify_all();
       BumpRelaxed(&notifies_);
     }
-    return true;
   }
 
   /// \brief Blocks until an item arrives; std::nullopt once closed+drained.

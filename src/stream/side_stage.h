@@ -16,6 +16,13 @@
 /// item has been either delivered or counted as dropped, so
 /// `submitted == processed + queue_dropped` is the completeness invariant.
 ///
+/// Doorbell contract: `Submit` publishes without waking a parked worker;
+/// the ring wakes it itself once half full. The producer rings it with
+/// `Wake` at the end of each burst (the shard core: once per window task),
+/// and `Flush` rings it before it waits, so a burst shorter than half the
+/// ring costs one wake-up, not one per item, and no item waits longer than
+/// its burst.
+///
 /// Ordering: the ring is FIFO and the worker is single, so delivery
 /// order is submission order (minus evicted items — drops thin the stream
 /// but never reorder it). A synchronous mode (`Options::async = false`)
@@ -146,7 +153,9 @@ class AsyncSideStage {
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 
   /// \brief Hands one item to the stage. Never blocks: a full channel
-  /// evicts an item (counted in `queue_dropped`). Single producer.
+  /// evicts an item (counted in `queue_dropped`). Single producer. Does not
+  /// wake a parked worker below half the ring depth: end the burst with
+  /// `Wake` (or `Flush`).
   /// Counter note: in async mode `submitted` is a producer-owned relaxed
   /// atomic, bumped *before* the push, and the stats lock is taken only
   /// when the push evicted (or was rejected). The ring's release/acquire
@@ -196,10 +205,16 @@ class AsyncSideStage {
     return n;
   }
 
-  /// \brief End-of-stream barrier: blocks until every submitted item has
-  /// been delivered or dropped. Call from a quiescent producer (no
-  /// concurrent Submit).
+  /// \brief Ends a burst of Submits: wakes the worker if it is parked.
+  /// Call from the producer, or from a thread that happens-after its last
+  /// Submit. No-op in sync mode (nothing is ever queued).
+  void Wake() { channel_.Wake(); }
+
+  /// \brief End-of-stream barrier: rings the doorbell, then blocks until
+  /// every submitted item has been delivered or dropped. Call from a
+  /// quiescent producer (no concurrent Submit).
   void Flush() {
+    Wake();
     std::unique_lock<std::mutex> lock(mutex_);
     complete_cv_.wait(lock, [this] {
       return stats_.processed + stats_.queue_dropped +

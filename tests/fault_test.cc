@@ -16,6 +16,7 @@
 #include "common/fault.h"
 #include "core/pipeline.h"
 #include "core/sharded_pipeline.h"
+#include "core/supervisor.h"
 #include "sim/scenario.h"
 #include "sim/world.h"
 #include "storage/lsm_store.h"
@@ -23,6 +24,47 @@
 
 namespace marlin {
 namespace {
+
+// --- Replay buffer -----------------------------------------------------------
+
+struct TestRecord {
+  uint64_t seq = 0;
+  std::vector<int> messages;
+};
+
+TEST(ReplayBufferTest, TruncationFreesHistoryAndStopsAppending) {
+  ReplayBuffer<TestRecord> buffer(4);
+  buffer.Append({1, {1, 2, 3}});
+  EXPECT_FALSE(buffer.truncated());
+  EXPECT_EQ(buffer.total_messages(), 3u);
+  // Past the bound with an older window to evict: the history can no
+  // longer rebuild a core, so all of it is freed.
+  buffer.Append({2, {4, 5}});
+  EXPECT_TRUE(buffer.truncated());
+  EXPECT_EQ(buffer.total_messages(), 0u);
+  EXPECT_TRUE(buffer.windows().empty());
+  for (uint64_t seq = 3; seq < 6; ++seq) {
+    buffer.Append({seq, {6}});
+    EXPECT_TRUE(buffer.truncated());
+    EXPECT_EQ(buffer.total_messages(), 0u);
+    EXPECT_TRUE(buffer.windows().empty());
+  }
+  buffer.Clear();
+  EXPECT_FALSE(buffer.truncated());
+  buffer.Append({6, {7}});
+  EXPECT_EQ(buffer.windows().size(), 1u);
+}
+
+TEST(ReplayBufferTest, InFlightWindowPastTheBoundIsKept) {
+  // One window alone larger than the bound (including Finish's two records
+  // sharing a seq) stays replayable: nothing older had to be evicted.
+  ReplayBuffer<TestRecord> buffer(2);
+  buffer.Append({1, {1, 2, 3}});
+  buffer.Append({1, {}});
+  EXPECT_FALSE(buffer.truncated());
+  EXPECT_EQ(buffer.windows().size(), 2u);
+  EXPECT_EQ(buffer.total_messages(), 3u);
+}
 
 // --- Injector units ---------------------------------------------------------
 
@@ -371,24 +413,6 @@ TEST(SupervisedPipelineTest, ArchiveEpochCrashRestartsAndRepublishes) {
   // matches the run that never crashed.
   EXPECT_EQ(metrics.archive.blocks, clean_metrics.archive.blocks);
   EXPECT_EQ(metrics.archive.epochs, clean_metrics.archive.epochs);
-}
-
-TEST(SupervisedPipelineTest, ParseCrashRejectsChunkAndPipelineSurvives) {
-  const ScenarioOutput scenario = MakeScenario(943, /*perfect_reception=*/false);
-  const PipelineConfig pc = TestConfig();
-  PipelineMetrics metrics;
-  std::vector<DetectedEvent> events;
-  {
-    ScopedFaultPlan plan(FaultPlan().Fail("shard.worker.parse", 100));
-    events = RunSharded(pc, 2, scenario, &metrics);
-  }
-  // Parsing is stateless: the failed chunk's remaining lines are rejected
-  // (counted) and the stream continues; no restart, no wedge.
-  EXPECT_GT(events.size(), 0u);
-  const SupervisorStats& sup = metrics.health.supervisor;
-  EXPECT_EQ(sup.failures, 1u);
-  EXPECT_EQ(sup.restarts, 0u);
-  ASSERT_TRUE(sup.failures_by_site.count("shard.worker.parse"));
 }
 
 TEST(SupervisedPipelineTest, TruncatedReplayHistoryDegradesInsteadOfRestarting) {

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "stream/event.h"
+#include "stream/lossy_ring.h"
 #include "stream/queue.h"
 #include "stream/rate.h"
 #include "stream/reorder.h"
@@ -352,6 +353,80 @@ TEST(SideStageTest, FlushIsACompletenessBarrier) {
   EXPECT_EQ(stats.submitted, 2000u);
   EXPECT_EQ(stats.processed + stats.queue_dropped, stats.submitted);
   EXPECT_EQ(stats.queue_dropped, 0u);
+}
+
+// Waits until `pop_waits()` reports a registered pop wait, then gives the
+// consumer time to finish its spin and park on the doorbell.
+template <typename F>
+void AwaitParkedConsumer(F pop_waits) {
+  while (pop_waits() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+// Polls `done` for up to 20 s (sanitizer builds are slow); true if it set.
+bool AwaitFlag(const std::atomic<bool>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(SideStageTest, FlushRingsTheDeferredDoorbell) {
+  // A few async Submits below half the ring depth publish without waking
+  // the parked worker; Flush alone must ring the doorbell and complete. A
+  // Flush that waits without ringing leaves the worker parked forever.
+  AsyncSideStage<int, int>::Options opts;
+  opts.queue_depth = 64;
+  AsyncSideStage<int, int> stage(opts, [](const int& v) { return v * 3; });
+  AwaitParkedConsumer([&] { return stage.stats().hop.pop_waits; });
+  for (int i = 0; i < 5; ++i) stage.Submit(i);
+  EXPECT_EQ(stage.stats().hop.notifies, 0u) << "Submit rang the doorbell";
+  std::atomic<bool> flushed{false};
+  std::thread flusher([&] {
+    stage.Flush();
+    flushed.store(true, std::memory_order_release);
+  });
+  const bool completed = AwaitFlag(flushed);
+  if (!completed) stage.Wake();  // unblock the flusher so the case can end
+  flusher.join();
+  ASSERT_TRUE(completed) << "Flush did not wake the parked worker";
+  std::vector<int> out;
+  EXPECT_EQ(stage.Drain(&out), 5u);
+  EXPECT_EQ(out, (std::vector<int>{0, 3, 6, 9, 12}));
+  const SideStageStats stats = stage.stats();
+  EXPECT_EQ(stats.processed, 5u);
+  EXPECT_EQ(stats.dropped(), 0u);
+}
+
+TEST(LossyRingDoorbellTest, ParkedConsumerWakesAtHalfFull) {
+  SpscLossyRing<int> ring(8);
+  std::atomic<bool> popped{false};
+  std::vector<int> got;
+  std::thread consumer([&] {
+    ring.PopBatch(&got, 8);
+    popped.store(true, std::memory_order_release);
+  });
+  AwaitParkedConsumer([&] { return ring.stats().pop_waits; });
+  size_t evicted = 0;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(ring.PushEvictOldest(i, &evicted));
+    EXPECT_EQ(evicted, 0u);
+  }
+  // Below half full: published without a wake-up.
+  EXPECT_EQ(ring.stats().notifies, 0u);
+  ASSERT_TRUE(ring.PushEvictOldest(3, &evicted));  // 4 of 8: half full
+  const bool woke = AwaitFlag(popped);
+  if (!woke) ring.Close();  // unblock the consumer so the case can end
+  consumer.join();
+  ASSERT_TRUE(woke) << "half-full ring did not wake the parked consumer";
+  EXPECT_FALSE(got.empty());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], static_cast<int>(i));
+  }
+  EXPECT_LE(ring.stats().notifies, 1u);
 }
 
 TEST(SideStageTest, DropOldestUnderSlowTransform) {
