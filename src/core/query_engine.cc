@@ -1,6 +1,8 @@
 #include "core/query_engine.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
 #include <numeric>
 
@@ -26,6 +28,47 @@ bool RowLess(const QueryRow& a, const QueryRow& b) {
   if (sog_a != sog_b) return sog_a < sog_b;
   return std::bit_cast<uint32_t>(a.cog_deg) <
          std::bit_cast<uint32_t>(b.cog_deg);
+}
+
+/// Sorts one partition's rows into `RowLess` order: a stable LSD radix sort
+/// of (t - t_min, row index) keys, one byte of t per pass, one gather of the
+/// rows, then `RowLess` over each run tied on t. Each pass is linear and
+/// branch-free, so the sort costs O(n) per byte of the time span where a
+/// comparison sort pays n log n data-dependent branches.
+void SortRows(std::vector<QueryRow>* rows) {
+  const size_t n = rows->size();
+  if (n < 2) return;
+  const auto [lo, hi] = std::minmax_element(
+      rows->begin(), rows->end(),
+      [](const QueryRow& a, const QueryRow& b) { return a.t < b.t; });
+  const auto t_min = static_cast<uint64_t>(lo->t);
+  const int t_bits = std::bit_width(static_cast<uint64_t>(hi->t) - t_min);
+  struct Key {
+    uint64_t t;  // t - t_min
+    size_t row;
+  };
+  std::vector<Key> keys(n), scratch(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = Key{static_cast<uint64_t>((*rows)[i].t) - t_min, i};
+  }
+  for (int shift = 0; shift < t_bits; shift += 8) {
+    std::array<size_t, 257> starts{};
+    for (const Key& k : keys) ++starts[((k.t >> shift) & 0xFF) + 1];
+    std::partial_sum(starts.begin(), starts.end(), starts.begin());
+    for (const Key& k : keys) scratch[starts[(k.t >> shift) & 0xFF]++] = k;
+    keys.swap(scratch);
+  }
+  std::vector<QueryRow> sorted;
+  sorted.reserve(n);
+  for (const Key& k : keys) sorted.push_back((*rows)[k.row]);
+  for (auto run = sorted.begin(); run != sorted.end();) {
+    const Timestamp t = run->t;
+    const auto end = std::find_if(
+        run + 1, sorted.end(), [t](const QueryRow& r) { return r.t != t; });
+    if (end - run > 1) std::sort(run, end, RowLess);
+    run = end;
+  }
+  *rows = std::move(sorted);
 }
 
 /// Resamples the merged raw rows at a fixed cadence: per-vessel linear
@@ -152,7 +195,7 @@ void QueryEngine::ScanPartition(const ShardArchive::PartitionSnapshot& snapshot,
     }
   }
   // Canonical partition order; the coordinator merge preserves it globally.
-  std::sort(rows->begin(), rows->end(), RowLess);
+  SortRows(rows);
 }
 
 QueryResult QueryEngine::Execute(const QuerySpec& spec) const {
@@ -196,14 +239,15 @@ QueryResult QueryEngine::Execute(const QuerySpec& spec) const {
 
   // Canonical order across partitions: stable merges in partition order,
   // so rows `RowLess` cannot tell apart keep their partition order.
-  size_t total = 0;
-  for (const auto& pr : partition_rows) total += pr.size();
-  result.rows.reserve(total);
-  for (const std::vector<QueryRow>& pr : partition_rows) {
-    const size_t mid = result.rows.size();
-    result.rows.insert(result.rows.end(), pr.begin(), pr.end());
-    std::inplace_merge(result.rows.begin(), result.rows.begin() + mid,
-                       result.rows.end(), RowLess);
+  result.rows = std::move(partition_rows.front());
+  std::vector<QueryRow> merged;
+  for (size_t i = 1; i < partition_rows.size(); ++i) {
+    const std::vector<QueryRow>& pr = partition_rows[i];
+    merged.clear();
+    merged.reserve(result.rows.size() + pr.size());
+    std::merge(result.rows.begin(), result.rows.end(), pr.begin(), pr.end(),
+               std::back_inserter(merged), RowLess);
+    result.rows.swap(merged);
   }
 
   for (const QueryStats& ps : partition_stats) result.stats.Merge(ps);

@@ -59,8 +59,7 @@ PipelineShardCore::PipelineShardCore(const PipelineConfig& config,
                                                timings.registry_us};
                           }
                           enrichment_stage_.AttributeSources({attributed, n});
-                          std::lock_guard<std::mutex> lock(enrichment_mutex_);
-                          enrichment_stats_snapshot_ = enrichment_.stats();
+                          enrichment_published_.Publish(enrichment_.stats());
                           return out;
                         }),
       store_(config.store),

@@ -22,9 +22,9 @@
 /// the 1-shard == sequential determinism guarantee intact for enriched
 /// output.
 
+#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ais/types.h"
@@ -160,12 +160,11 @@ class PipelineShardCore {
     return stats;
   }
   /// \brief Snapshot of the enrichment join counters. The engine itself is
-  /// touched only by the stage transform; the transform publishes a copy of
-  /// the counters after each point, so reading here never waits on a slow
-  /// context lookup in progress.
+  /// touched only by the stage transform; the transform publishes the
+  /// counters after each point, so reading here never waits on a slow
+  /// context lookup in progress. Complete after `FlushEnrichment`.
   EnrichmentEngine::Stats enrichment_stats() const {
-    std::lock_guard<std::mutex> lock(enrichment_mutex_);
-    return enrichment_stats_snapshot_;
+    return enrichment_published_.Read();
   }
   /// \brief Snapshot of the side-stage counters (queue drops, depth,
   /// submit→delivery latency).
@@ -191,13 +190,41 @@ class PipelineShardCore {
   IntegrityScorer integrity_;
   BehaviorChangeDetector anomaly_;
   SourceQualityModel source_quality_;
+  /// The enrichment engine's counters as last published by the stage
+  /// transform: relaxed atomics, so neither the per-point publish nor a
+  /// reader takes a lock. A snapshot taken while the stage runs may mix
+  /// two points' counts; the stage's Flush barrier (a lock hand-off after
+  /// the transform) makes a later read complete.
+  class PublishedEnrichmentStats {
+   public:
+    void Publish(const EnrichmentEngine::Stats& stats) {
+      points_.store(stats.points, std::memory_order_relaxed);
+      zone_hits_.store(stats.zone_hits, std::memory_order_relaxed);
+      registry_hits_.store(stats.registry_hits, std::memory_order_relaxed);
+      registry_conflicts_.store(stats.registry_conflicts,
+                                std::memory_order_relaxed);
+    }
+    EnrichmentEngine::Stats Read() const {
+      EnrichmentEngine::Stats stats;
+      stats.points = points_.load(std::memory_order_relaxed);
+      stats.zone_hits = zone_hits_.load(std::memory_order_relaxed);
+      stats.registry_hits = registry_hits_.load(std::memory_order_relaxed);
+      stats.registry_conflicts =
+          registry_conflicts_.load(std::memory_order_relaxed);
+      return stats;
+    }
+
+   private:
+    std::atomic<uint64_t> points_{0};
+    std::atomic<uint64_t> zone_hits_{0};
+    std::atomic<uint64_t> registry_hits_{0};
+    std::atomic<uint64_t> registry_conflicts_{0};
+  };
+
   /// Engine + quality model belong to the stage transform alone (the
-  /// worker thread in async mode, the producer thread in sync mode); the
-  /// mutex guards only the published counter snapshot below, so readers
-  /// never block behind a slow context lookup.
-  mutable std::mutex enrichment_mutex_;
+  /// worker thread in async mode, the producer thread in sync mode).
   EnrichmentEngine enrichment_;
-  EnrichmentEngine::Stats enrichment_stats_snapshot_;
+  PublishedEnrichmentStats enrichment_published_;
   AsyncSideStage<ReconstructedPoint, EnrichedPoint> enrichment_stage_;
   TrajectoryStore store_;
   /// Historical serving-tier partition (null when PipelineConfig::archive is

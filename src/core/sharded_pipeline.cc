@@ -8,12 +8,6 @@ namespace marlin {
 
 namespace {
 
-// Command-queue depth per shard. The coordinator keeps at most two windows
-// queued per shard (the one being merged and the one just dispatched, or
-// Finish's tail + flush pair), so a depth of at least 2 avoids push-side
-// blocking.
-constexpr size_t kShardQueueCapacity = 4;
-
 GridPairPartitioner::Options GridPairOptions(const PipelineConfig& config) {
   GridPairPartitioner::Options options;
   options.pair_threads = ResolveTopologyCount(config.pair_threads);
@@ -178,9 +172,9 @@ void ShardedPipeline::ReplayShardHistory(Shard* shard, ShardTask& task) {
   // deliveries, so they skip the stage and are counted instead.
   shard->core->SetEnrichmentSuppressed(true);
   // The current task's slots may hold output from the failed attempt; its
-  // replayed records regenerate them in full. (Finish's tail + flush tasks
-  // share slots AND a seq, so clearing once here is also correct when the
-  // flush half crashes after the tail half succeeded.)
+  // replayed records regenerate them in full. (Finish's open-window +
+  // flush tasks share slots AND a seq, so clearing once here is also
+  // correct when the flush half crashes after the window half succeeded.)
   task.events->clear();
   task.pairs->clear();
   std::vector<DetectedEvent> stale_events;
@@ -228,7 +222,11 @@ std::unique_ptr<ShardedPipeline::Window> ShardedPipeline::AcquireWindow() {
     window_pool_.pop_back();
     return window;
   }
-  return std::make_unique<Window>();
+  auto window = std::make_unique<Window>();
+  window->routed.resize(shards_.size());
+  window->events.resize(shards_.size());
+  window->pairs.resize(shards_.size());
+  return window;
 }
 
 void ShardedPipeline::ReleaseWindow(std::unique_ptr<Window> window) {
@@ -236,53 +234,58 @@ void ShardedPipeline::ReleaseWindow(std::unique_ptr<Window> window) {
   window_pool_.push_back(std::move(window));
 }
 
-void ShardedPipeline::DecodeAndRoute(
-    Window* window, std::span<const Event<std::string>> lines) {
-  const size_t shard_count = shards_.size();
-  // Size the per-shard slots; the inner vectors are empty already — fresh
-  // windows start empty and pooled ones were cleared by Window::Reset
-  // (which keeps their capacity).
-  window->routed.resize(shard_count);
-  window->events.resize(shard_count);
-  window->pairs.resize(shard_count);
-
+void ShardedPipeline::DecodeAndRoute(const Event<std::string>& line) {
   // Assembly is stateful across the whole stream (fragment groups can span
   // windows) and therefore runs here, in arrival order; the stateless parse
   // runs beside it, on the same thread, while the shard workers process the
-  // previous window. Rejected lines are dead-lettered with the same
-  // classification — and therefore the same ledger — as the sequential
-  // pipeline's ingest path. The decoder overrides receiver time from TAG
-  // blocks; the stream-level ingest timestamps (rate meter, end-to-end
-  // latency) use the original arrival time.
-  for (const Event<std::string>& line : lines) {
-    const Timestamp ingest_time = line.ingest_time;
-    const ParsedLine parsed = AisDecoder::Parse(
-        line.payload, ingest_time,
-        config_.fragment_group_by_source ? line.source_id : 0);
-    if (!parsed.ok) {
-      dead_letters_.Push(DeadLetterReason::kBadSentence, line.payload,
-                         ingest_time);
-    }
-    const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
-    std::optional<AisMessage> msg = decoder_.Assemble(parsed);
-    if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
-      dead_letters_.Push(DeadLetterReason::kBadPayload, line.payload,
-                         ingest_time);
-    }
-    if (!msg.has_value()) continue;
-    if (config_.enable_quality_assessment) quality_.Observe(*msg);
-
-    if (const auto* sv = std::get_if<StaticVoyageData>(&*msg)) {
-      window->routed[router_.ShardFor(sv->mmsi)].push_back(
-          RoutedMessage{ingest_time, *sv});
-      continue;
-    }
-    const PositionReport* pr = PositionReportOf(*msg);
-    if (pr == nullptr) continue;
-    metrics_.ingest_rate.Observe(ingest_time);
-    window->routed[router_.ShardFor(pr->mmsi)].push_back(
-        RoutedMessage{ingest_time, *pr});
+  // windows in flight. Rejected lines get the same classification — and
+  // therefore the same ledger — as the sequential pipeline's ingest path.
+  // The decoder overrides receiver time from TAG blocks; the stream-level
+  // ingest timestamps (rate meter, end-to-end latency) use the original
+  // arrival time.
+  Window* window = open_.get();
+  const Timestamp ingest_time = line.ingest_time;
+  const ParsedLine parsed = AisDecoder::Parse(
+      line.payload, ingest_time,
+      config_.fragment_group_by_source ? line.source_id : 0);
+  if (!parsed.ok) {
+    window->rejects.push_back(RejectedLine{DeadLetterReason::kBadSentence,
+                                           line.payload, ingest_time});
   }
+  const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
+  std::optional<AisMessage> msg = decoder_.Assemble(parsed);
+  if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
+    window->rejects.push_back(RejectedLine{DeadLetterReason::kBadPayload,
+                                           line.payload, ingest_time});
+  }
+  if (!msg.has_value()) return;
+  if (config_.enable_quality_assessment) quality_.Observe(*msg);
+
+  if (const auto* sv = std::get_if<StaticVoyageData>(&*msg)) {
+    window->routed[router_.ShardFor(sv->mmsi)].push_back(
+        RoutedMessage{ingest_time, *sv});
+    return;
+  }
+  const PositionReport* pr = PositionReportOf(*msg);
+  if (pr == nullptr) return;
+  metrics_.ingest_rate.Observe(ingest_time);
+  window->routed[router_.ShardFor(pr->mmsi)].push_back(
+      RoutedMessage{ingest_time, *pr});
+}
+
+uint64_t ShardedPipeline::CutWindow(size_t tasks_per_shard) {
+  // The sequential pipeline refreshes these at window close; later lines
+  // belong to the next, still open, window.
+  metrics_.decoder = decoder_.stats();
+  metrics_.quality = quality_.report();
+  for (const RejectedLine& reject : open_->rejects) {
+    dead_letters_.Push(reject.reason, reject.payload, reject.ingest_time);
+  }
+  open_->shards_done = std::make_unique<std::latch>(
+      static_cast<ptrdiff_t>(shards_.size() * tasks_per_shard));
+  open_lines_ = 0;
+  open_first_ingest_ = kInvalidTimestamp;
+  return ++next_window_seq_;
 }
 
 void ShardedPipeline::DispatchShardTasks(Window* window, uint64_t window_seq,
@@ -293,14 +296,6 @@ void ShardedPipeline::DispatchShardTasks(Window* window, uint64_t window_seq,
                   window->shards_done.get(), kInvalidTimestamp, close_epoch,
                   window_seq});
   }
-}
-
-void ShardedPipeline::DispatchWindow(Window* window,
-                                     std::span<const Event<std::string>> lines) {
-  DecodeAndRoute(window, lines);
-  window->shards_done =
-      std::make_unique<std::latch>(static_cast<ptrdiff_t>(shards_.size()));
-  DispatchShardTasks(window, ++next_window_seq_);
 }
 
 void ShardedPipeline::MergeWindow(Window* window, bool flush_pairs,
@@ -334,7 +329,7 @@ void ShardedPipeline::MergeWindow(Window* window, bool flush_pairs,
   pair_grid_.CloseWindow(&pair_events_, &pairs, flush_pairs, &events);
   FireAlerts(events, &metrics_.alerts, alert_callback_);
   // Metrics are NOT refreshed here: when this window is merged the shards
-  // may already be processing the next one, and their stats are only safe
+  // may already be processing later ones, and their stats are only safe
   // to read at a quiescent point (end of IngestBatch / Finish).
   if (out->empty()) {
     *out = std::move(events);
@@ -344,9 +339,15 @@ void ShardedPipeline::MergeWindow(Window* window, bool flush_pairs,
   }
 }
 
+void ShardedPipeline::MergeOldest(std::vector<DetectedEvent>* out) {
+  std::unique_ptr<Window> oldest = std::move(in_flight_.front());
+  in_flight_.erase(in_flight_.begin());
+  MergeWindow(oldest.get(), /*flush_pairs=*/false, out);
+  ReleaseWindow(std::move(oldest));
+}
+
 void ShardedPipeline::RefreshMetrics() {
-  metrics_.decoder = decoder_.stats();
-  metrics_.quality = quality_.report();
+  // `decoder` and `quality` are snapshotted by CutWindow.
   metrics_.reconstruction = {};
   metrics_.synopses = {};
   metrics_.events = {};
@@ -400,60 +401,40 @@ void ShardedPipeline::RefreshMetrics() {
 std::vector<DetectedEvent> ShardedPipeline::IngestBatch(
     std::span<const Event<std::string>> nmea) {
   std::vector<DetectedEvent> all;
-  std::unique_ptr<Window> in_flight;
-  size_t consumed = 0;
+  bool merged = false;
   // Arrival order: the newest line is the span's last (same value the
   // sequential pipeline tracks per line).
   if (!nmea.empty()) last_ingest_ = nmea.back().ingest_time;
-
-  // Walk the span cutting windows exactly where the sequential pipeline
-  // would (WindowMustClose over line count + ingest time). The coordinator
-  // merges window k-1 (pair stage + re-sequencing) while the shards
-  // process window k.
-  while (consumed < nmea.size()) {
-    const Timestamp first_ingest = pending_lines_.empty()
-                                       ? nmea[consumed].ingest_time
-                                       : pending_lines_.front().ingest_time;
-    size_t count = pending_lines_.size();
-    size_t end = consumed;  // one past the window's last line, once closed
-    bool closed = false;
-    while (end < nmea.size()) {
-      ++count;
-      const Timestamp newest = nmea[end].ingest_time;
-      ++end;
-      if (WindowMustClose(config_, count, first_ingest, newest)) {
-        closed = true;
-        break;
-      }
+  // Each line is decoded into the open window on arrival, and the window is
+  // cut exactly where the sequential pipeline would close it
+  // (WindowMustClose over line count + ingest time) and dispatched at once.
+  // The coordinator merges a window (pair stage + re-sequencing) only when
+  // the in-flight bound is reached, and merges the rest at the end of the
+  // call, so the shards run up to kShardQueueCapacity windows while it
+  // decodes the next.
+  for (const Event<std::string>& line : nmea) {
+    if (!open_) open_ = AcquireWindow();
+    if (open_lines_ == 0) open_first_ingest_ = line.ingest_time;
+    DecodeAndRoute(line);
+    if (!WindowMustClose(config_, ++open_lines_, open_first_ingest_,
+                         line.ingest_time)) {
+      continue;
     }
-    if (!closed) break;  // span exhausted with the window still open
-
-    std::unique_ptr<Window> window = AcquireWindow();
-    if (pending_lines_.empty()) {
-      DispatchWindow(window.get(), nmea.subspan(consumed, end - consumed));
-    } else {
-      pending_lines_.insert(pending_lines_.end(), nmea.begin() + consumed,
-                            nmea.begin() + end);
-      DispatchWindow(window.get(),
-                     std::span<const Event<std::string>>(pending_lines_));
-      pending_lines_.clear();
+    const uint64_t window_seq = CutWindow(/*tasks_per_shard=*/1);
+    if (in_flight_.size() == kShardQueueCapacity) {
+      MergeOldest(&all);
+      merged = true;
     }
-    consumed = end;
-    if (in_flight) {
-      MergeWindow(in_flight.get(), /*flush_pairs=*/false, &all);
-      ReleaseWindow(std::move(in_flight));
-    }
-    in_flight = std::move(window);
+    DispatchShardTasks(open_.get(), window_seq);
+    in_flight_.push_back(std::move(open_));
   }
-  if (in_flight) {
-    MergeWindow(in_flight.get(), /*flush_pairs=*/false, &all);
-    ReleaseWindow(std::move(in_flight));
+  while (!in_flight_.empty()) {
+    MergeOldest(&all);
+    merged = true;
   }
-  RefreshMetrics();  // quiescent: every dispatched window has been merged
-
-  // Stash the open window's tail for the next batch / Finish.
-  pending_lines_.insert(pending_lines_.end(), nmea.begin() + consumed,
-                        nmea.end());
+  // Quiescent: every dispatched window has been merged. A call that closed
+  // no window changed nothing metrics() describes.
+  if (merged) RefreshMetrics();
   return all;
 }
 
@@ -466,33 +447,29 @@ std::vector<DetectedEvent> ShardedPipeline::Run(
 }
 
 std::vector<DetectedEvent> ShardedPipeline::Finish() {
-  const size_t shard_count = shards_.size();
-  Window window;
-  const bool has_lines = !pending_lines_.empty();
-  DecodeAndRoute(&window, std::span<const Event<std::string>>(pending_lines_));
-  // Each shard gets its window task (if any lines remain) plus a flush task,
-  // queued back-to-back so both write the shard's slots in order. The two
-  // tasks share one window sequence — they are one window, and a supervised
-  // replay must route both records' output into the shared slots.
-  const uint64_t window_seq = ++next_window_seq_;
-  const size_t tasks_per_shard = has_lines ? 2 : 1;
-  window.shards_done = std::make_unique<std::latch>(
-      static_cast<ptrdiff_t>(shard_count * tasks_per_shard));
+  // Nothing is in flight between calls. Each shard gets the open window's
+  // task (if it holds any lines) plus a flush task, queued back-to-back so
+  // both write the shard's slots in order. The two tasks share one window
+  // sequence — they are one window, and a supervised replay must route both
+  // records' output into the shared slots.
+  if (!open_) open_ = AcquireWindow();
+  const bool has_lines = open_lines_ > 0;
+  const uint64_t window_seq = CutWindow(/*tasks_per_shard=*/has_lines ? 2 : 1);
   if (has_lines) {
-    // Tail lines + flush are ONE window: the flush task below closes the
+    // Open window + flush are ONE window: the flush task below closes the
     // archive epoch for both, matching the sequential pipeline's single
     // Finish-time window close.
-    DispatchShardTasks(&window, window_seq, /*close_epoch=*/false);
-    pending_lines_.clear();
+    DispatchShardTasks(open_.get(), window_seq, /*close_epoch=*/false);
   }
-  for (size_t s = 0; s < shard_count; ++s) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->queue.Push(
-        ShardTask{nullptr, &window.events[s], &window.pairs[s],
-                  window.shards_done.get(), last_ingest_,
+        ShardTask{nullptr, &open_->events[s], &open_->pairs[s],
+                  open_->shards_done.get(), last_ingest_,
                   /*close_epoch=*/true, window_seq});
   }
   std::vector<DetectedEvent> all;
-  MergeWindow(&window, /*flush_pairs=*/true, &all);
+  MergeWindow(open_.get(), /*flush_pairs=*/true, &all);
+  ReleaseWindow(std::move(open_));
   // Shard workers are quiescent now; drain the enrichment side-stages so
   // the enriched stream (and its counters) are complete before the final
   // metric refresh.

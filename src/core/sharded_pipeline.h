@@ -9,8 +9,8 @@
 ///   NMEA lines (arrival order, windows of `window_lines`)
 ///        ▼
 ///   coordinator: parse + fragment reassembly + bit decode (stateful, in
-///        order), overlapped with the shard workers running the previous
-///        window
+///        order), one line at a time as `IngestBatch` receives it, into
+///        the open window; a window that closes is dispatched at once
 ///        │ route by splitmix64(MMSI) % N
 ///        ▼
 ///   N × PipelineShardCore (reconstruction → synopses → store partition →
@@ -18,8 +18,11 @@
 ///        lock-free SpscRing (the coordinator is each command queue's only
 ///        producer) — each core also feeds an async enrichment side-stage
 ///        (own worker + bounded lossy ring, doorbell rung once per window)
-///        whose output surfaces through SetEnrichedSink / DrainEnriched
-///        │ merge: pair observations sorted by (event time, MMSI)
+///        whose output surfaces through SetEnrichedSink / DrainEnriched.
+///        Up to `kShardQueueCapacity` (4) dispatched windows are in flight
+///        while the coordinator decodes the next one
+///        │ merge, oldest window first: pair observations sorted by
+///        │ (event time, MMSI)
 ///        ▼
 ///   coordinator: pair stage (rendezvous / collision) — sequential
 ///        PairEventEngine, or grid-cell sharded across a
@@ -158,10 +161,13 @@ class ShardedPipeline {
   size_t num_shards() const { return shards_.size(); }
 
   /// \brief Merged per-stage metrics. Refreshed at the end of every
-  /// IngestBatch / Finish call (shard stats are only safe to read when the
-  /// workers are quiescent, so mid-batch window closes do not refresh).
-  /// They cover the closed windows only (an open window's lines are decoded
-  /// when it closes), as the sequential pipeline's do.
+  /// IngestBatch call that merged a window, and by Finish (shard stats are
+  /// only safe to read when the workers are quiescent, so mid-batch merges
+  /// do not refresh). They cover the closed windows only, as the sequential
+  /// pipeline's do: the decoder and quality counters are snapshotted at
+  /// each window cut, and an open window's rejected lines reach the
+  /// dead-letter queue at its cut. `ingest_rate` is observed per line on
+  /// arrival, as in the sequential pipeline.
   const PipelineMetrics& metrics() const { return metrics_; }
 
   /// \brief Read-only view over the per-shard store partitions. Valid while
@@ -213,13 +219,13 @@ class ShardedPipeline {
     /// points are latency-measured like streamed ones.
     Timestamp flush_ingest_time = kInvalidTimestamp;
     /// Close the shard's archive epoch after this task. True for window and
-    /// flush tasks; false for `Finish`'s tail-lines task, whose lines and
-    /// flush form ONE window — exactly one epoch, as in the sequential
-    /// pipeline.
+    /// flush tasks; false for the open window's task that `Finish`
+    /// dispatches ahead of the flush — its lines and the flush form ONE
+    /// window, so exactly one epoch, as in the sequential pipeline.
     bool close_epoch = true;
-    /// Coordinator-assigned window sequence. `Finish`'s tail + flush tasks
-    /// share one sequence (they are one window); the supervisor routes
-    /// replayed output by it.
+    /// Coordinator-assigned window sequence. `Finish`'s open-window + flush
+    /// tasks share one sequence (they are one window); the supervisor
+    /// routes replayed output by it.
     uint64_t window_seq = 0;
   };
 
@@ -244,20 +250,31 @@ class ShardedPipeline {
     bool degraded = false;
   };
 
-  /// All coordinator-side state of one in-flight window. Windows are
-  /// pooled: `Reset` clears every vector but keeps its capacity, so a
-  /// steady stream reuses two windows' buffers instead of reallocating
-  /// per window.
+  /// A raw line the coordinator rejected, held with the open window until
+  /// its cut so that `metrics()` and the dead-letter ledger describe closed
+  /// windows only.
+  struct RejectedLine {
+    DeadLetterReason reason = DeadLetterReason::kBadSentence;
+    std::string payload;
+    Timestamp ingest_time = kInvalidTimestamp;
+  };
+
+  /// All coordinator-side state of one window, open or in flight. Windows
+  /// are pooled: `Reset` clears every vector but keeps its capacity, so a
+  /// steady stream reuses a handful of windows' buffers instead of
+  /// reallocating per window.
   struct Window {
     std::vector<std::vector<RoutedMessage>> routed;      // per shard
     std::vector<std::vector<DetectedEvent>> events;      // per shard
     std::vector<std::vector<PairObservation>> pairs;     // per shard
+    std::vector<RejectedLine> rejects;  ///< arrival order, until the cut
     std::unique_ptr<std::latch> shards_done;
 
     void Reset() {
       for (auto& r : routed) r.clear();
       for (auto& e : events) e.clear();
       for (auto& p : pairs) p.clear();
+      rejects.clear();
       shards_done.reset();
     }
   };
@@ -274,6 +291,13 @@ class ShardedPipeline {
     std::thread thread;
   };
 
+  /// Command-queue depth per shard, and the bound on dispatched windows in
+  /// flight: the coordinator merges the oldest window before it dispatches
+  /// one more, so a shard never holds more than this many queued tasks and
+  /// pushes never block (`Finish` queues its two tasks with nothing else in
+  /// flight).
+  static constexpr size_t kShardQueueCapacity = 4;
+
   void WorkerLoop(Shard* shard);
   /// Supervised ShardTask execution: run, and on failure restart-replay or
   /// degrade per the supervision options. Always counts the latch down.
@@ -289,25 +313,28 @@ class ShardedPipeline {
   void ReplayShardHistory(Shard* shard, ShardTask& task);
   /// Flips the worker to counted-drop mode and drops the current task.
   void EnterDegradedMode(Shard* shard, ShardTask& task);
-  /// Window pool (coordinator thread only).
+  /// Window pool (coordinator thread only). Acquired windows have one
+  /// slot per shard.
   std::unique_ptr<Window> AcquireWindow();
   void ReleaseWindow(std::unique_ptr<Window> window);
-  /// Parses and assembles `lines` (stateful, arrival order) on the
-  /// coordinator and routes the decoded messages into the window's
+  /// Parses and assembles one line (stateful, arrival order) on the
+  /// coordinator and routes the decoded message into the open window's
   /// per-shard slices — the sequential pipeline's per-line decode, so
   /// rejected lines are dead-lettered with the same classification.
-  void DecodeAndRoute(Window* window,
-                      std::span<const Event<std::string>> lines);
+  void DecodeAndRoute(const Event<std::string>& line);
+  /// Ends the open window: snapshots the decoder and quality counters,
+  /// releases its held rejects to the dead-letter queue and arms its latch
+  /// for `tasks_per_shard` tasks per shard. Returns the window's sequence.
+  uint64_t CutWindow(size_t tasks_per_shard);
   /// Enqueues one ShardTask per shard for the window (non-blocking).
   void DispatchShardTasks(Window* window, uint64_t window_seq,
                           bool close_epoch = true);
-  /// DecodeAndRoute + latch setup + DispatchShardTasks.
-  void DispatchWindow(Window* window,
-                      std::span<const Event<std::string>> lines);
   /// Waits for the window's shards, runs the pair stage, re-sequences,
   /// fires alerts, appends finalized events to `out`.
   void MergeWindow(Window* window, bool flush_pairs,
                    std::vector<DetectedEvent>* out);
+  /// Merges and recycles the oldest in-flight window.
+  void MergeOldest(std::vector<DetectedEvent>* out);
   void RefreshMetrics();
 
   PipelineConfig config_;
@@ -338,9 +365,15 @@ class ShardedPipeline {
   PipelineMetrics metrics_;
   std::function<void(const DetectedEvent&)> alert_callback_;
 
-  /// Lines accumulated toward the current (partial) window.
-  std::vector<Event<std::string>> pending_lines_;
-  /// Recycled Window objects (at most two are ever in flight).
+  /// The open window: lines decoded and routed on arrival, not yet
+  /// dispatched. Null until the first line after a cut.
+  std::unique_ptr<Window> open_;
+  size_t open_lines_ = 0;  ///< input lines in the open window
+  Timestamp open_first_ingest_ = kInvalidTimestamp;
+  /// Dispatched, unmerged windows, oldest first. At most
+  /// `kShardQueueCapacity`; empty between calls.
+  std::vector<std::unique_ptr<Window>> in_flight_;
+  /// Recycled Window objects.
   std::vector<std::unique_ptr<Window>> window_pool_;
   Timestamp last_ingest_ = kInvalidTimestamp;  ///< newest line's ingest time
   uint64_t next_window_seq_ = 0;  ///< coordinator-assigned ShardTask seqs

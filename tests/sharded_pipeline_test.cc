@@ -269,6 +269,147 @@ TEST(ShardedPipelineTest, OpenWindowMetricsMatchSequential) {
   expect_same(/*lines=*/800, /*rejects=*/2);
 }
 
+// The counters metrics() refreshes at a window close, by name, so that a
+// mismatch names its field. `ingest_rate` is left out: both pipelines
+// observe it per line on arrival, not at the close.
+std::map<std::string, uint64_t> ClosedWindowCounters(const PipelineMetrics& m) {
+  std::map<std::string, uint64_t> c = {
+      {"decoder.lines_in", m.decoder.lines_in},
+      {"decoder.messages_out", m.decoder.messages_out},
+      {"decoder.bad_sentences", m.decoder.bad_sentences},
+      {"decoder.bad_payloads", m.decoder.bad_payloads},
+      {"decoder.unsupported_types", m.decoder.unsupported_types},
+      {"decoder.pending_fragments", m.decoder.pending_fragments},
+      {"quality.static_messages", m.quality.static_messages},
+      {"quality.position_messages", m.quality.position_messages},
+      {"quality.invalid_positions", m.quality.invalid_positions},
+      {"reconstruction.reports_in", m.reconstruction.reports_in},
+      {"reconstruction.points_out", m.reconstruction.points_out},
+      {"reconstruction.late_dropped", m.reconstruction.late_dropped},
+      {"synopses.points_in", m.synopses.points_in},
+      {"synopses.points_out", m.synopses.points_out},
+      {"events.points_in", m.events.points_in},
+      {"events.events_out", m.events.events_out},
+      {"alerts", m.alerts},
+      {"end_to_end_latency.count", m.end_to_end_latency.count()},
+      {"dead_letter.enqueued", m.health.dead_letter.enqueued},
+      {"dead_letter.counted_only", m.health.dead_letter.counted_only},
+      {"dead_letter.depth", m.health.dead_letter.depth},
+  };
+  for (size_t r = 0; r < kDeadLetterReasonCount; ++r) {
+    c["dead_letter.by_reason." + std::to_string(r)] =
+        m.health.dead_letter.by_reason[r];
+  }
+  return c;
+}
+
+// A scenario salted with rejected lines of both kinds the coordinator
+// classifies: mangled sentences and flipped checksums.
+std::vector<Event<std::string>> SaltedStream(uint64_t seed) {
+  const ScenarioOutput scenario =
+      MakeScenario(seed, /*perfect_reception=*/false);
+  std::vector<Event<std::string>> salted;
+  for (size_t i = 0; i < scenario.nmea.size(); ++i) {
+    salted.push_back(scenario.nmea[i]);
+    if (i % 97 == 0) {
+      Event<std::string> bad = scenario.nmea[i];
+      bad.payload = "!AIVDM,mangled-" + std::to_string(i);
+      salted.push_back(std::move(bad));
+    } else if (i % 89 == 0) {
+      Event<std::string> bad = scenario.nmea[i];
+      bad.payload.back() = bad.payload.back() == '0' ? '1' : '0';
+      salted.push_back(std::move(bad));
+    }
+  }
+  return salted;
+}
+
+TEST(ShardedPipelineTest, BatchSizesMatchSequentialCallForCall) {
+  // The coordinator decodes each line on arrival and keeps several windows
+  // in flight; none of that may show through the API. Whatever the batch
+  // size, every call returns the events the sequential pipeline's same call
+  // returns, and leaves the same closed-window metrics; Finish leaves the
+  // same dead-letter ledger.
+  const std::vector<Event<std::string>> stream = SaltedStream(907);
+  const PipelineConfig pc = TestConfig();
+  for (const size_t num_shards : {1, 3}) {
+    for (const size_t batch : {1, 7, 219, 1024}) {
+      SCOPED_TRACE("shards=" + std::to_string(num_shards) +
+                   " batch=" + std::to_string(batch));
+      MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr,
+                                  nullptr, nullptr);
+      ShardedPipeline::Options opts;
+      opts.num_shards = num_shards;
+      ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr,
+                              nullptr, nullptr);
+      std::span<const Event<std::string>> all(stream);
+      size_t seq_total = 0, calls_with_events = 0;
+      for (size_t off = 0; off < all.size(); off += batch) {
+        const auto part = all.subspan(off, std::min(batch, all.size() - off));
+        const auto seq_events = sequential.IngestBatch(part);
+        const auto shard_events = sharded.IngestBatch(part);
+        ExpectSameEvents(seq_events, shard_events, /*compare_order=*/true);
+        ASSERT_EQ(ClosedWindowCounters(sharded.metrics()),
+                  ClosedWindowCounters(sequential.metrics()))
+            << "after the call at line " << off;
+        ASSERT_EQ(sharded.metrics().ingest_rate.count(),
+                  sequential.metrics().ingest_rate.count());
+        seq_total += seq_events.size();
+        calls_with_events += !seq_events.empty();
+      }
+      EXPECT_GT(seq_total, 0u);
+      EXPECT_GT(calls_with_events, 1u);
+      ExpectSameEvents(sequential.Finish(), sharded.Finish(),
+                       /*compare_order=*/true);
+      EXPECT_EQ(ClosedWindowCounters(sharded.metrics()),
+                ClosedWindowCounters(sequential.metrics()));
+
+      std::vector<DeadLetter> seq_letters, shard_letters;
+      sequential.DrainDeadLetters(&seq_letters);
+      sharded.DrainDeadLetters(&shard_letters);
+      ASSERT_GT(seq_letters.size(), 0u);
+      ASSERT_EQ(seq_letters.size(), shard_letters.size());
+      for (size_t i = 0; i < seq_letters.size(); ++i) {
+        EXPECT_EQ(seq_letters[i].reason, shard_letters[i].reason) << i;
+        EXPECT_EQ(seq_letters[i].payload, shard_letters[i].payload) << i;
+        EXPECT_EQ(seq_letters[i].ingest_time, shard_letters[i].ingest_time)
+            << i;
+      }
+    }
+  }
+}
+
+TEST(ShardedPipelineTest, BatchThatClosesNoWindowLeavesMetricsUnchanged) {
+  const std::vector<Event<std::string>> stream = SaltedStream(908);
+  PipelineConfig pc;
+  pc.window_lines = 512;
+  pc.window_time_ms = 0;  // only the line budget closes windows
+  ASSERT_GT(stream.size(), 1500u);
+  ShardedPipeline::Options opts;
+  opts.num_shards = 2;
+  ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr, nullptr,
+                          nullptr);
+  std::span<const Event<std::string>> all(stream);
+  sharded.IngestBatch(all.subspan(0, 1100));  // two windows, one open
+  const PipelineMetrics before = sharded.metrics();
+  ASSERT_EQ(before.decoder.lines_in, 1024u);
+  ASSERT_GT(before.health.dead_letter.total(), 0u);
+
+  // 1100 + 400 lines stay short of the third window's cut at 1536, and
+  // the range holds rejects: they wait for the cut.
+  EXPECT_TRUE(sharded.IngestBatch(all.subspan(1100, 400)).empty());
+  const PipelineMetrics& after = sharded.metrics();
+  EXPECT_EQ(ClosedWindowCounters(after), ClosedWindowCounters(before));
+  EXPECT_EQ(after.enrichment.points, before.enrichment.points);
+  EXPECT_EQ(after.enrichment_stage.processed,
+            before.enrichment_stage.processed);
+  EXPECT_EQ(after.shard_hop.pushed, before.shard_hop.pushed);
+  EXPECT_EQ(after.shard_hop.popped, before.shard_hop.popped);
+  std::vector<DeadLetter> letters;
+  sharded.DrainDeadLetters(&letters);
+  EXPECT_EQ(letters.size(), before.health.dead_letter.enqueued);
+}
+
 // --- Grid-parallel pair stage (scenario replay) ------------------------------
 
 TEST(ShardedPipelineTest, GridPairStageOneShardIsByteIdenticalToSequential) {
