@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <thread>
 
 #include <span>
@@ -418,70 +417,6 @@ BENCHMARK(BM_EnrichmentSideStage)
     ->Args({2, 1})
     ->Args({4, 0})
     ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-// The pair-stage axis: arg0 = pair_threads (grid-cell workers for the
-// rendezvous/collision rules), arg1 = traffic density multiplier. Pairwise
-// proximity analytics scale quadratically with density — exactly the cost
-// the grid partitioner spreads — so the interesting read is how the
-// pair_threads speedup grows with density. Counters surface the grid's
-// occupancy/skew so a flat speedup is diagnosable (one hot cell ⇒ skew→1).
-ScenarioConfig F2DensityConfig(int density) {
-  ScenarioConfig config = F2Config();
-  config.seed = 20 + density;
-  config.duration = 90 * kMillisPerMinute;
-  config.transit_vessels *= density;
-  config.fishing_vessels *= density;
-  config.loiter_vessels *= density;
-  config.rendezvous_pairs *= density;
-  config.perfect_reception = true;  // isolate compute from reception loss
-  return config;
-}
-
-void BM_PairStageGrid(benchmark::State& state) {
-  const World& world = bench::SharedWorld();
-  // Per-density scenario cache (SharedScenario caches only one config).
-  static std::map<int, ScenarioOutput> scenarios;
-  const int density = static_cast<int>(state.range(1));
-  auto [it, inserted] = scenarios.try_emplace(density);
-  if (inserted) it->second = GenerateScenario(world, F2DensityConfig(density));
-  const ScenarioOutput& scenario = it->second;
-
-  uint64_t events_out = 0;
-  uint64_t lines = 0;
-  uint64_t parallel_windows = 0;
-  double max_cell_share = 0.0;
-  for (auto _ : state) {
-    PipelineConfig config;
-    config.pair_threads = static_cast<size_t>(state.range(0));
-    ShardedPipeline::Options opts;
-    opts.num_shards = 2;
-    ShardedPipeline pipeline(config, opts, &world.zones(), nullptr, nullptr,
-                             nullptr);
-    const auto events = pipeline.Run(scenario.nmea);
-    events_out = events.size();
-    lines += scenario.nmea.size();
-    parallel_windows = pipeline.metrics().pair_stage.parallel_windows;
-    max_cell_share = pipeline.metrics().pair_stage.max_cell_share;
-    benchmark::DoNotOptimize(events);
-  }
-  state.counters["events"] = static_cast<double>(events_out);
-  state.counters["lines_per_s"] = benchmark::Counter(
-      static_cast<double>(lines), benchmark::Counter::kIsRate);
-  state.counters["par_windows"] = static_cast<double>(parallel_windows);
-  state.counters["cell_share"] = max_cell_share;
-}
-BENCHMARK(BM_PairStageGrid)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({1, 2})
-    ->Args({2, 2})
-    ->Args({4, 2})
-    ->Args({1, 3})
-    ->Args({4, 3})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

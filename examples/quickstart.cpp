@@ -9,7 +9,6 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
-#include <thread>
 
 #include "context/weather.h"
 #include "core/sharded_pipeline.h"
@@ -43,12 +42,6 @@ int main() {
   WeatherProvider weather(7);
   PipelineConfig pipeline_config;
   pipeline_config.enriched_output_capacity = 1u << 17;  // drain at the end
-  // The vessel-pair rules (rendezvous, collision risk) also run in
-  // parallel, sharded across grid cells — same event stream, byte for byte.
-  // 0 = size the pool to the host topology; floor of 2 so the grid engages
-  // even on single-core demo hosts.
-  pipeline_config.pair_threads =
-      std::max<size_t>(2, ResolveTopologyCount(0));
   ShardedPipeline::Options shard_options;
   shard_options.num_shards = 0;  // 0 = one shard per hardware thread
   ShardedPipeline pipeline(pipeline_config, shard_options, &world.zones(),
@@ -85,12 +78,6 @@ int main() {
               static_cast<unsigned long long>(m.alerts));
   std::printf("  vessels tracked      : %zu (across %zu store partitions)\n",
               store.VesselCount(), store.partition_count());
-  std::printf("  pair stage           : %llu/%llu windows grid-parallel "
-              "(%.1f cells/window, heaviest cell %.0f %%)\n",
-              static_cast<unsigned long long>(m.pair_stage.parallel_windows),
-              static_cast<unsigned long long>(m.pair_stage.windows),
-              m.pair_stage.MeanCellsPerWindow(),
-              100.0 * m.pair_stage.max_cell_share);
 
   // Per-hop hand-off health: how deep each stage's ring backed up, how
   // often a side had to wait, and how many items each consumer wake-up
@@ -106,7 +93,6 @@ int main() {
   };
   std::printf("\nqueue hops (lock-free SPSC rings)\n");
   print_hop("coord -> shard", m.shard_hop);
-  print_hop("pair -> cell worker", m.pair_hop);
   print_hop("shard -> enrichment", m.enrichment_stage.hop);
 
   // Fault-tolerance health: every record that left the healthy path is on

@@ -19,8 +19,8 @@
 ///    insertion history**. Callers whose *output* depends on order (event
 ///    emission, state export) must collect keys and sort explicitly; see
 ///    `PairEventEngine::ExportVessels` for the pattern.
-///  * `Clear()` keeps the allocated capacity (the pooling contract used by
-///    the pair-stage replica pool).
+///  * `Clear()` keeps the allocated capacity (the archive's per-epoch
+///    staging table relies on it).
 
 #include <algorithm>
 #include <cassert>

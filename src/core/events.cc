@@ -452,22 +452,18 @@ void PairEventEngine::CheckRendezvous(const PairObservation& obs,
     pair.last_seen = t;
     pair.where = obs.point.position;
     if (!pair.reported && t - pair.since >= options_.rendezvous_min_duration) {
-      // The `reported` latch flips in every replica that tracks this pair;
-      // only the owner replica (emit filter) appends the event.
       pair.reported = true;
-      if (MayEmit(obs.mmsi, other)) {
-        DetectedEvent ev;
-        ev.type = EventType::kRendezvous;
-        ev.start = pair.since;
-        ev.end = t;
-        ev.vessel_a = std::min(obs.mmsi, other);
-        ev.vessel_b = std::max(obs.mmsi, other);
-        ev.where = pair.where;
-        ev.severity = 0.8;
-        ev.detected_at = t;
-        out->push_back(ev);
-        ++stats_.events_out;
-      }
+      DetectedEvent ev;
+      ev.type = EventType::kRendezvous;
+      ev.start = pair.since;
+      ev.end = t;
+      ev.vessel_a = std::min(obs.mmsi, other);
+      ev.vessel_b = std::max(obs.mmsi, other);
+      ev.where = pair.where;
+      ev.severity = 0.8;
+      ev.detected_at = t;
+      out->push_back(ev);
+      ++stats_.events_out;
     }
   }
 }
@@ -514,20 +510,17 @@ void PairEventEngine::CheckCollision(const PairObservation& obs,
     const CpaResult cpa = ComputeCpa(self, target);
     if (cpa.converging && cpa.distance_m < options_.cpa_threshold_m &&
         cpa.tcpa_s < options_.tcpa_horizon_s) {
-      // The re-alert clock advances in every replica; only the owner emits.
       collision_alerts_[key] = t;
-      if (MayEmit(obs.mmsi, other)) {
-        DetectedEvent ev;
-        ev.type = EventType::kCollisionRisk;
-        ev.start = ev.detected_at = t;
-        ev.end = t + static_cast<DurationMs>(cpa.tcpa_s * kMillisPerSecond);
-        ev.vessel_a = std::min(obs.mmsi, other);
-        ev.vessel_b = std::max(obs.mmsi, other);
-        ev.where = obs.point.position;
-        ev.severity = 0.9;
-        out->push_back(ev);
-        ++stats_.events_out;
-      }
+      DetectedEvent ev;
+      ev.type = EventType::kCollisionRisk;
+      ev.start = ev.detected_at = t;
+      ev.end = t + static_cast<DurationMs>(cpa.tcpa_s * kMillisPerSecond);
+      ev.vessel_a = std::min(obs.mmsi, other);
+      ev.vessel_b = std::max(obs.mmsi, other);
+      ev.where = obs.point.position;
+      ev.severity = 0.9;
+      out->push_back(ev);
+      ++stats_.events_out;
     }
   }
 }
@@ -558,7 +551,6 @@ void PairEventEngine::Flush(std::vector<DetectedEvent>* out) {
     if (!pair.reported &&
         pair.last_seen - pair.since >= options_.rendezvous_min_duration) {
       pair.reported = true;
-      if (!MayEmit(PairLo(key), PairHi(key))) continue;
       DetectedEvent ev;
       ev.type = EventType::kRendezvous;
       ev.start = pair.since;
@@ -572,16 +564,6 @@ void PairEventEngine::Flush(std::vector<DetectedEvent>* out) {
       ++stats_.events_out;
     }
   }
-}
-
-void PairEventEngine::Clear() {
-  vessels_.Clear();
-  rendezvous_pairs_.Clear();
-  collision_alerts_.Clear();
-  live_.Clear();
-  stats_ = Stats{};
-  emit_filter_ = nullptr;
-  prune_watermark_ = kInvalidTimestamp;
 }
 
 size_t PairEventEngine::PruneAfterWindow(Timestamp window_max_t) {
@@ -634,7 +616,7 @@ size_t PairEventEngine::PruneAfterWindow(Timestamp window_max_t) {
   return pruned;
 }
 
-// --- Grid-parallel state transplant ----------------------------------------
+// --- State snapshot / restore ----------------------------------------------
 
 void PairEventEngine::ExportVessels(std::vector<VesselSnapshot>* out) {
   key_scratch_.clear();
@@ -649,13 +631,6 @@ void PairEventEngine::ExportVessels(std::vector<VesselSnapshot>* out) {
     // immediately, so every exported snapshot carries a real position.
     out->push_back(VesselSnapshot{mmsi, state.last, state.in_port_area});
   }
-}
-
-bool PairEventEngine::GetVessel(Mmsi mmsi, VesselSnapshot* out) const {
-  const VesselState* state = vessels_.Find(mmsi);
-  if (state == nullptr || !state->has_last) return false;
-  *out = VesselSnapshot{mmsi, state->last, state->in_port_area};
-  return true;
 }
 
 void PairEventEngine::ExportRendezvous(

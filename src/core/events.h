@@ -26,7 +26,6 @@
 /// the original per-point behaviour exactly.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,8 +119,8 @@ struct EventRuleOptions {
   // Stops
   double stop_speed_mps = 0.5;
   // Windowed pruning of stale pair-rule state (vessels unseen past the
-  // horizon, inert rendezvous/collision entries). Keeps the per-window
-  // state export of the grid pair stage O(active pairs) instead of
+  // horizon, inert rendezvous/collision entries). Keeps the pair engine's
+  // tables — and a state export — O(active pairs) instead of
   // O(everything ever seen). The horizon must comfortably exceed both the
   // partner-freshness windows of the pair rules (5 minutes) and the worst
   // cross-window event-time regression of the feed (satellite deliveries:
@@ -244,15 +243,12 @@ class VesselEventEngine {
 
 /// \brief Vessel-pair rules (rendezvous, collision risk) over the global
 /// live picture. Consumes the canonical `PairObservation` stream; a single
-/// instance sits downstream of the shard merge.
+/// instance sits downstream of the shard merge and closes each window
+/// (`CloseWindow`) on the coordinator, in both pipelines.
 ///
-/// The engine is also the unit of *spatial* parallelism: the grid pair
-/// stage (`GridPairPartitioner`, core/pair_grid.h) runs one replica engine
-/// per grid cell, seeded from the authoritative engine through the
-/// snapshot/restore API below, and gates which replica may emit a given
-/// pair's events through `SetEmitFilter`. All state transitions happen in
-/// every replica that sees the pair — only the owner speaks — so replicas
-/// stay in lockstep with what a single sequential engine would compute.
+/// The engine's whole state can be copied out and installed into a fresh
+/// engine through the snapshot/restore API below; a restored engine closes
+/// the remaining windows exactly as the original would.
 class PairEventEngine {
  public:
   using Options = EventRuleOptions;
@@ -261,26 +257,15 @@ class PairEventEngine {
   explicit PairEventEngine(const Options& options);
   PairEventEngine() : PairEventEngine(Options()) {}
 
-  /// \brief The canonical (event-time, MMSI) order of the pair-observation
-  /// stream. Every window closer (sequential engine, sharded coordinator,
-  /// grid partitioner) must sort with exactly this comparator.
-  static bool ObservationLess(const PairObservation& a,
-                              const PairObservation& b) {
-    if (a.point.t != b.point.t) return a.point.t < b.point.t;
-    return a.mmsi < b.mmsi;
-  }
-
   /// \brief Consumes one observation; appends detected pair events.
   void Ingest(const PairObservation& obs, std::vector<DetectedEvent>* out);
 
   /// \brief Closes one processing window: sorts `pairs` into the canonical
   /// (event-time, MMSI) order, ingests them (clearing the vector), flushes
   /// open pair states when `flush` is set, and re-sequences `events`
-  /// canonically. The sequential pipeline closes its windows here; the
-  /// sharded pipeline closes them through `GridPairPartitioner::CloseWindow`,
-  /// which performs these exact steps (proven equivalent by
-  /// tests/pair_grid_test.cc) — the determinism guarantee depends on the
-  /// two paths never diverging.
+  /// canonically, then prunes stale state (`PruneAfterWindow`). Both
+  /// pipelines close their windows here, which is why their event streams
+  /// agree whatever the shard count.
   void CloseWindow(std::vector<PairObservation>* pairs, bool flush,
                    std::vector<DetectedEvent>* events);
 
@@ -289,7 +274,7 @@ class PairEventEngine {
 
   const Stats& stats() const { return stats_; }
 
-  // --- Grid-parallel support (core/pair_grid.h) -----------------------------
+  // --- State snapshot / restore --------------------------------------------
 
   /// \brief Portable copy of one vessel's pair-rule state.
   struct VesselSnapshot {
@@ -315,22 +300,10 @@ class PairEventEngine {
     Timestamp last_alert = 0;
   };
 
-  /// \brief Emission gate for cell replicas: when set, a pair event (and its
-  /// `events_out` count) is produced only if the filter approves the
-  /// unordered vessel pair. Every state transition — dwell accumulation,
-  /// `reported` latching, re-alert clocks — still occurs, so a non-owner
-  /// replica tracks exactly the state the owner does.
-  void SetEmitFilter(std::function<bool(Mmsi, Mmsi)> filter) {
-    emit_filter_ = std::move(filter);
-  }
-
   /// \brief Copies every per-vessel state, ascending MMSI. Non-const:
   /// the sorted walk uses the engine's key scratch (the engine, like every
   /// stage, is single-threaded by contract).
   void ExportVessels(std::vector<VesselSnapshot>* out);
-
-  /// \brief Copies one vessel's state; false when unknown.
-  bool GetVessel(Mmsi mmsi, VesselSnapshot* out) const;
 
   /// \brief Copies every rendezvous pair state, ascending (a, b).
   void ExportRendezvous(std::vector<RendezvousSnapshot>* out);
@@ -348,32 +321,6 @@ class PairEventEngine {
   /// \brief Installs (or overwrites) one collision re-alert clock.
   void RestoreCollision(const CollisionSnapshot& snapshot);
 
-  /// \brief Advances the engine counters on behalf of work executed in cell
-  /// replicas (the partitioner ingests observations and emits events outside
-  /// this instance but the merged totals belong to it).
-  void AccumulateStats(uint64_t points_in, uint64_t events_out) {
-    stats_.points_in += points_in;
-    stats_.events_out += events_out;
-  }
-
-  /// \brief Resets every vessel/pair state, the live picture, the emit
-  /// filter, and the counters, keeping allocated capacity — the contract
-  /// the grid pair stage's replica pool relies on to reuse engines across
-  /// windows without per-window map rebuilds.
-  void Clear();
-
-  /// \brief Windowed pruning of stale state (see
-  /// `EventRuleOptions::pair_state_prune_age_ms`). `window_max_t` is the
-  /// newest event time of the window just closed; both window-close paths
-  /// (sequential `CloseWindow`, grid `GridPairPartitioner::CloseWindow`)
-  /// call this with the identical value, so the authoritative state — and
-  /// with it the byte-identity guarantee — never diverges. Entries are
-  /// prunable only when their disappearance is unobservable: vessels past
-  /// every partner-freshness horizon, reported or sub-threshold rendezvous
-  /// dwell (both reconstructed from scratch on next contact), and expired
-  /// collision re-alert clocks. Returns the number of entries removed.
-  size_t PruneAfterWindow(Timestamp window_max_t);
-
  private:
   struct VesselState {
     TrajectoryPoint last;
@@ -388,6 +335,24 @@ class PairEventEngine {
     bool reported = false;
   };
 
+  /// The canonical (event-time, MMSI) order of the pair-observation
+  /// stream: `CloseWindow` sorts each window with it.
+  static bool ObservationLess(const PairObservation& a,
+                              const PairObservation& b) {
+    if (a.point.t != b.point.t) return a.point.t < b.point.t;
+    return a.mmsi < b.mmsi;
+  }
+
+  /// Windowed pruning of stale state (see
+  /// `EventRuleOptions::pair_state_prune_age_ms`). `CloseWindow` calls this
+  /// with `window_max_t`, the newest event time of the window just closed.
+  /// Entries are prunable only when their disappearance is unobservable:
+  /// vessels past every partner-freshness horizon, reported or
+  /// sub-threshold rendezvous dwell (both reconstructed from scratch on
+  /// next contact), and expired collision re-alert clocks. Returns the
+  /// number of entries removed.
+  size_t PruneAfterWindow(Timestamp window_max_t);
+
   /// Unordered pair key, packed (min << 32 | max) for the flat tables.
   static uint64_t PackPair(Mmsi a, Mmsi b) {
     const Mmsi lo = a < b ? a : b;
@@ -397,10 +362,6 @@ class PairEventEngine {
   static Mmsi PairLo(uint64_t key) { return static_cast<Mmsi>(key >> 32); }
   static Mmsi PairHi(uint64_t key) {
     return static_cast<Mmsi>(key & 0xFFFFFFFFull);
-  }
-
-  bool MayEmit(Mmsi a, Mmsi b) const {
-    return !emit_filter_ || emit_filter_(a, b);
   }
 
   void CheckRendezvous(const PairObservation& obs,
@@ -418,7 +379,6 @@ class PairEventEngine {
   FlatHashMap<uint64_t, Timestamp> collision_alerts_;
   GridIndex live_;
   Stats stats_;
-  std::function<bool(Mmsi, Mmsi)> emit_filter_;  ///< null = always emit
   Timestamp prune_watermark_ = kInvalidTimestamp;
   std::vector<uint64_t> key_scratch_;  ///< sorted-walk scratch
   std::vector<std::pair<uint64_t, double>> radius_scratch_;  ///< scan scratch

@@ -62,6 +62,9 @@ std::vector<DetectedEvent> MaritimePipeline::CloseWindow(bool flush_pairs) {
   // immutable position blocks and a fresh read snapshot. Archive write
   // failures degrade durability, not the live pipeline.
   (void)core_.CloseArchiveEpoch();
+  dead_letters_.PushHeld(&window_rejects_);
+  dead_letters_.PushCount(DeadLetterReason::kBadPayload,
+                          std::exchange(window_packed_rejects_, 0));
   pair_events_.CloseWindow(&window_pairs_, flush_pairs, &window_events_);
   FireAlerts(window_events_, &metrics_.alerts, alert_callback_);
   RefreshMetrics();
@@ -106,19 +109,22 @@ std::vector<DetectedEvent> MaritimePipeline::IngestBatch(
     // ais/codec.h); the split exposes the reject reason so rejected raw
     // lines can be dead-lettered with the same classification — and
     // therefore the same payload stream — as the sharded pipeline's parse
-    // stage.
+    // stage. Like the sharded pipeline, it holds them until the window
+    // closes.
     const ParsedLine parsed = AisDecoder::Parse(
         ev.payload, ev.ingest_time,
         config_.fragment_group_by_source ? ev.source_id : 0);
     if (!parsed.ok) {
-      dead_letters_.Push(DeadLetterReason::kBadSentence, ev.payload,
-                         ev.ingest_time);
+      window_rejects_.push_back(
+          DeadLetter{ev.ingest_time, DeadLetterReason::kBadSentence,
+                     ev.payload});
     }
     const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
     const std::optional<AisMessage> msg = decoder_.Assemble(parsed);
     if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
-      dead_letters_.Push(DeadLetterReason::kBadPayload, ev.payload,
-                         ev.ingest_time);
+      window_rejects_.push_back(
+          DeadLetter{ev.ingest_time, DeadLetterReason::kBadPayload,
+                     ev.payload});
     }
     IngestRecord(msg, ev.ingest_time, &all);
   }
@@ -134,7 +140,7 @@ std::vector<DetectedEvent> MaritimePipeline::IngestPackedBatch(
         decoder_.DecodePacked(ev.payload.bits, ev.payload.received_at);
     if (decoder_.stats().bad_payloads > bad_before) {
       // The raw bytes stayed with the sender; count without retention.
-      dead_letters_.PushCount(DeadLetterReason::kBadPayload, 1);
+      ++window_packed_rejects_;
     }
     IngestRecord(msg, ev.ingest_time, &all);
   }

@@ -39,7 +39,6 @@
 #include "context/zones.h"
 #include "core/enrichment.h"
 #include "core/events.h"
-#include "core/pair_grid.h"
 #include "core/reconstruction.h"
 #include "core/shard.h"
 #include "core/supervisor.h"
@@ -100,16 +99,6 @@ struct PipelineConfig {
   /// latency bounded on low-rate feeds, where filling `window_lines` could
   /// take arbitrarily long. 0 disables the time trigger.
   DurationMs window_time_ms = kMillisPerMinute;
-  /// Grid-cell worker count for the vessel-pair stage (rendezvous /
-  /// collision) in `ShardedPipeline`. 0 sizes the pool to the host
-  /// topology (`std::thread::hardware_concurrency`); 1 keeps the pair
-  /// stage sequential on the coordinator. The emitted event stream is
-  /// byte-identical either way (see core/pair_grid.h). `MaritimePipeline`
-  /// is the single-threaded reference and ignores this.
-  size_t pair_threads = 1;
-  /// Grid pitch in metres for the parallel pair stage; 0 sizes cells to the
-  /// max pair-interaction radius (`events.collision_scan_radius_m`).
-  double pair_cell_size_m = 0.0;
   /// Restart budget and replay-buffer bound for `ShardedPipeline`'s
   /// always-on worker supervision (core/supervisor.h): crash containment,
   /// replay-based restart, degraded counted-drop mode. `MaritimePipeline`
@@ -196,16 +185,10 @@ struct PipelineMetrics {
   /// latency, and the per-source (zones / weather / registry) share of the
   /// join work.
   SideStageStats enrichment_stage;
-  /// Pair-stage grid health: parallel vs fallback windows, cell occupancy,
-  /// halo traffic, skew. All zero when the pair stage runs sequentially.
-  PairStageStats pair_stage;
   /// Coordinator → shard-worker hop: command-queue depth high-water,
   /// producer/consumer waits, pop batch-size histogram — merged across the
   /// per-shard channels. Zero in the single-threaded pipeline.
   QueueHopStats shard_hop;
-  /// Pair coordinator → cell-worker hop, merged across the per-worker
-  /// channels. Zero when the pair stage runs sequentially.
-  QueueHopStats pair_hop;
   /// Anomaly & integrity stage counters (integrity scorer + behaviour-change
   /// detector), merged across shards. All zero when
   /// `PipelineConfig::enable_anomaly` is false.
@@ -305,8 +288,9 @@ class MaritimePipeline {
   std::vector<DetectedEvent> Finish();
 
   /// \brief Moves the retained dead-letter records (rejected raw lines, in
-  /// rejection order) into `out`; returns how many. Counters survive the
-  /// drain in `metrics().health.dead_letter`.
+  /// rejection order) into `out`; returns how many. An open window's
+  /// rejects reach the queue when it closes, as in the sharded pipeline.
+  /// Counters survive the drain in `metrics().health.dead_letter`.
   size_t DrainDeadLetters(std::vector<DeadLetter>* out) {
     return dead_letters_.Drain(out);
   }
@@ -333,8 +317,9 @@ class MaritimePipeline {
   void IngestRecord(const std::optional<AisMessage>& msg,
                     Timestamp ingest_time, std::vector<DetectedEvent>* out);
   void ProcessDecoded(const AisMessage& msg, Timestamp ingest_time);
-  /// Runs the pair stage over the window's observations, re-sequences the
-  /// window's events, fires alerts, refreshes metric snapshots.
+  /// Releases the window's held rejects to the dead-letter queue, runs the
+  /// pair stage over its observations, re-sequences its events, fires
+  /// alerts, refreshes metric snapshots.
   std::vector<DetectedEvent> CloseWindow(bool flush_pairs);
   void RefreshMetrics();
 
@@ -347,6 +332,8 @@ class MaritimePipeline {
   PipelineMetrics metrics_;
   std::vector<DetectedEvent> window_events_;
   std::vector<PairObservation> window_pairs_;
+  std::vector<DeadLetter> window_rejects_;  ///< arrival order, until close
+  uint64_t window_packed_rejects_ = 0;      ///< counted-only, until close
   size_t window_line_count_ = 0;
   Timestamp window_first_ingest_ = kInvalidTimestamp;
   Timestamp last_ingest_ = kInvalidTimestamp;  ///< newest line's ingest time

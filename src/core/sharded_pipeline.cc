@@ -6,17 +6,6 @@
 
 namespace marlin {
 
-namespace {
-
-GridPairPartitioner::Options GridPairOptions(const PipelineConfig& config) {
-  GridPairPartitioner::Options options;
-  options.pair_threads = ResolveTopologyCount(config.pair_threads);
-  options.cell_size_m = config.pair_cell_size_m;
-  return options;
-}
-
-}  // namespace
-
 ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
                                  const Options& options,
                                  const ZoneDatabase* zones,
@@ -30,7 +19,6 @@ ShardedPipeline::ShardedPipeline(const PipelineConfig& config,
       registry_a_(registry_a),
       registry_b_(registry_b),
       pair_events_(config.events),
-      pair_grid_(config.events, GridPairOptions(config)),
       dead_letters_(config.dead_letter_capacity) {
   rebuild_config_ = config_;
   rebuild_config_.archive.recover_on_open = false;
@@ -249,14 +237,14 @@ void ShardedPipeline::DecodeAndRoute(const Event<std::string>& line) {
       line.payload, ingest_time,
       config_.fragment_group_by_source ? line.source_id : 0);
   if (!parsed.ok) {
-    window->rejects.push_back(RejectedLine{DeadLetterReason::kBadSentence,
-                                           line.payload, ingest_time});
+    window->rejects.push_back(
+        DeadLetter{ingest_time, DeadLetterReason::kBadSentence, line.payload});
   }
   const uint64_t bad_payloads_before = decoder_.stats().bad_payloads;
   std::optional<AisMessage> msg = decoder_.Assemble(parsed);
   if (parsed.ok && decoder_.stats().bad_payloads > bad_payloads_before) {
-    window->rejects.push_back(RejectedLine{DeadLetterReason::kBadPayload,
-                                           line.payload, ingest_time});
+    window->rejects.push_back(
+        DeadLetter{ingest_time, DeadLetterReason::kBadPayload, line.payload});
   }
   if (!msg.has_value()) return;
   if (config_.enable_quality_assessment) quality_.Observe(*msg);
@@ -278,9 +266,7 @@ uint64_t ShardedPipeline::CutWindow(size_t tasks_per_shard) {
   // belong to the next, still open, window.
   metrics_.decoder = decoder_.stats();
   metrics_.quality = quality_.report();
-  for (const RejectedLine& reject : open_->rejects) {
-    dead_letters_.Push(reject.reason, reject.payload, reject.ingest_time);
-  }
+  dead_letters_.PushHeld(&open_->rejects);
   open_->shards_done = std::make_unique<std::latch>(
       static_cast<ptrdiff_t>(shards_.size() * tasks_per_shard));
   open_lines_ = 0;
@@ -323,10 +309,8 @@ void ShardedPipeline::MergeWindow(Window* window, bool flush_pairs,
                  std::make_move_iterator(shard_pairs.end()));
   }
 
-  // Same canonical window close the sequential pipeline performs — the
-  // partitioner fans the pair scans out across grid cells when configured,
-  // with byte-identical output (core/pair_grid.h).
-  pair_grid_.CloseWindow(&pair_events_, &pairs, flush_pairs, &events);
+  // The same canonical window close the sequential pipeline performs.
+  pair_events_.CloseWindow(&pairs, flush_pairs, &events);
   FireAlerts(events, &metrics_.alerts, alert_callback_);
   // Metrics are NOT refreshed here: when this window is merged the shards
   // may already be processing later ones, and their stats are only safe
@@ -375,12 +359,10 @@ void ShardedPipeline::RefreshMetrics() {
       metrics_.archive.Merge(shard->core->archive()->stats());
     }
   }
-  metrics_.pair_stage = pair_grid_.stats();
   metrics_.shard_hop = {};
   for (const auto& shard : shards_) {
     metrics_.shard_hop.Merge(shard->queue.stats());
   }
-  metrics_.pair_hop = pair_grid_.hop_stats();
   // Health roll-up. Supervisor stats are worker-owned; this runs at the
   // same quiescent points as the per-core merges above.
   metrics_.health = PipelineHealth{};
@@ -389,8 +371,6 @@ void ShardedPipeline::RefreshMetrics() {
     metrics_.health.supervisor.enrichment_suppressed +=
         shard->core->enrichment_suppressed_count();
   }
-  metrics_.health.supervisor.pair_windows_recovered =
-      pair_grid_.stats().recovered_windows;
   metrics_.health.dead_letter = dead_letters_.stats();
   metrics_.health.enrichment_transform_failures =
       metrics_.enrichment_stage.transform_failed;

@@ -24,12 +24,10 @@
 ///        │ merge, oldest window first: pair observations sorted by
 ///        │ (event time, MMSI)
 ///        ▼
-///   coordinator: pair stage (rendezvous / collision) — sequential
-///        PairEventEngine, or grid-cell sharded across a
-///        GridPairPartitioner worker pool when `PipelineConfig::
-///        pair_threads` > 1 (halo exchange + min-cell ownership keep the
-///        output byte-identical) — + canonical event re-sequencing +
-///        alerts + metric merge
+///   coordinator: pair stage (rendezvous / collision) —
+///        `PairEventEngine::CloseWindow`, the sequential pipeline's own
+///        window close — + canonical event re-sequencing + alerts + metric
+///        merge
 ///
 /// Determinism: every vessel's reports flow through exactly one
 /// single-threaded shard core in arrival order, reconstruction watermarks
@@ -37,8 +35,7 @@
 /// with window boundaries fixed by input line count, and merged events are
 /// re-sequenced with a total order. Consequently a `ShardedPipeline` with
 /// one shard reproduces `MaritimePipeline`'s event stream *exactly*, and
-/// N shards produce the same events for any N — for every pair-stage
-/// cell-size/thread configuration (core/pair_grid.h).
+/// N shards produce the same events for any N.
 ///
 /// Fault tolerance (core/supervisor.h): each shard worker runs under a
 /// supervisor. A throwing task is caught and attributed; the shard core is
@@ -61,7 +58,6 @@
 #include <variant>
 #include <vector>
 
-#include "core/pair_grid.h"
 #include "core/pipeline.h"
 #include "core/shard.h"
 #include "core/supervisor.h"
@@ -250,15 +246,6 @@ class ShardedPipeline {
     bool degraded = false;
   };
 
-  /// A raw line the coordinator rejected, held with the open window until
-  /// its cut so that `metrics()` and the dead-letter ledger describe closed
-  /// windows only.
-  struct RejectedLine {
-    DeadLetterReason reason = DeadLetterReason::kBadSentence;
-    std::string payload;
-    Timestamp ingest_time = kInvalidTimestamp;
-  };
-
   /// All coordinator-side state of one window, open or in flight. Windows
   /// are pooled: `Reset` clears every vector but keeps its capacity, so a
   /// steady stream reuses a handful of windows' buffers instead of
@@ -267,7 +254,10 @@ class ShardedPipeline {
     std::vector<std::vector<RoutedMessage>> routed;      // per shard
     std::vector<std::vector<DetectedEvent>> events;      // per shard
     std::vector<std::vector<PairObservation>> pairs;     // per shard
-    std::vector<RejectedLine> rejects;  ///< arrival order, until the cut
+    /// Raw lines the coordinator rejected, arrival order, held until the
+    /// cut so that `metrics()` and the dead-letter ledger describe closed
+    /// windows only.
+    std::vector<DeadLetter> rejects;
     std::unique_ptr<std::latch> shards_done;
 
     void Reset() {
@@ -354,10 +344,7 @@ class ShardedPipeline {
   std::vector<std::unique_ptr<Shard>> shards_;
   AisDecoder decoder_;          ///< assembly half runs on the coordinator
   QualityAssessor quality_;
-  PairEventEngine pair_events_;  ///< authoritative pair-rule state
-  /// Closes pair windows on `pair_events_` — grid-cell parallel when
-  /// `config.pair_threads` > 1, sequential otherwise; identical output.
-  GridPairPartitioner pair_grid_;
+  PairEventEngine pair_events_;  ///< pair-rule state, closed per window
   /// Rejected raw lines + degraded-drop markers. Pushed from the
   /// coordinator (decode rejects) and the shard workers (degraded drops) —
   /// the queue is internally locked.

@@ -29,41 +29,6 @@ class GridIndex {
   /// \brief `cell_deg` is the grid pitch in degrees (0.1° ≈ 6 NM N-S).
   explicit GridIndex(double cell_deg = 0.1) : cell_deg_(cell_deg) {}
 
-  // --- Shared grid math -----------------------------------------------------
-  // Every uniform-grid consumer (this live index, the pair stage's
-  // GridPairPartitioner) must bucket and scan with *identical* geometry, or
-  // the pair stage's halo could silently under-cover what QueryRadius
-  // scans. These statics are the single source of truth: row-major packed
-  // keys on a (lat+90)/(lon+180) floor grid — unwrapped at the
-  // antimeridian — and the radius → degree margins QueryRadius prefilters
-  // with.
-
-  static CellKey PackCell(int32_t row, int32_t col) {
-    return (static_cast<int64_t>(row) << 32) |
-           static_cast<int64_t>(static_cast<uint32_t>(col));
-  }
-  static int32_t CellRow(CellKey key) {
-    return static_cast<int32_t>(key >> 32);
-  }
-  static int32_t CellCol(CellKey key) {
-    return static_cast<int32_t>(static_cast<uint32_t>(key));
-  }
-
-  /// \brief Cell key of `p` on a uniform grid of `cell_deg` pitch.
-  static CellKey KeyOnPitch(const GeoPoint& p, double cell_deg) {
-    const int32_t row =
-        static_cast<int32_t>(std::floor((p.lat + 90.0) / cell_deg));
-    const int32_t col =
-        static_cast<int32_t>(std::floor((p.lon + 180.0) / cell_deg));
-    return PackCell(row, col);
-  }
-
-  /// \brief The bounding-box margins (degrees) a radius scan centred at
-  /// `centre_lat` covers: QueryRadius prefilters with exactly these, so any
-  /// partner it can return lies within them of the scan centre.
-  static void RadiusMargins(double radius_m, double centre_lat,
-                            double* lat_margin_deg, double* lon_margin_deg);
-
   /// \brief Inserts or moves `id` to `p`.
   void Upsert(uint64_t id, const GeoPoint& p);
 
@@ -94,15 +59,27 @@ class GridIndex {
   size_t size() const { return positions_.size(); }
   double cell_deg() const { return cell_deg_; }
 
-  /// \brief Drops every point; table capacity is retained (the pooled
-  /// pair-stage replicas clear and refill their live picture per window).
-  void Clear() {
-    cells_.Clear();
-    positions_.Clear();
+ private:
+  // Cells are row-major packed keys on a (lat+90)/(lon+180) floor grid,
+  // unwrapped at the antimeridian: a radius scan never pairs points across
+  // the ±180° seam.
+  static CellKey PackCell(int32_t row, int32_t col) {
+    return (static_cast<int64_t>(row) << 32) |
+           static_cast<int64_t>(static_cast<uint32_t>(col));
   }
 
- private:
-  CellKey KeyFor(const GeoPoint& p) const { return KeyOnPitch(p, cell_deg_); }
+  CellKey KeyFor(const GeoPoint& p) const {
+    const int32_t row =
+        static_cast<int32_t>(std::floor((p.lat + 90.0) / cell_deg_));
+    const int32_t col =
+        static_cast<int32_t>(std::floor((p.lon + 180.0) / cell_deg_));
+    return PackCell(row, col);
+  }
+
+  /// \brief The bounding-box margins (degrees) a radius scan centred at
+  /// `centre_lat` prefilters with.
+  static void RadiusMargins(double radius_m, double centre_lat,
+                            double* lat_margin_deg, double* lon_margin_deg);
 
   /// \brief Appends `id` to the bucket of `key`, recycling a pooled
   /// slot's vector capacity when the cell is re-materialized.

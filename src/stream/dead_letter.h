@@ -9,7 +9,8 @@
 /// calls for before shards go remote).
 ///
 /// Two intake paths:
-///   * `Push` retains the raw rejected line/frame with a reason code, up to
+///   * `Push` (`PushHeld` for a closed window's rejects, in arrival order)
+///     retains the raw rejected line/frame with a reason code, up to
 ///     `capacity` entries; overflow evicts the oldest retained payload but
 ///     keeps its count (data at risk never disappears from the ledger, only
 ///     its bytes do).
@@ -26,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -94,13 +96,17 @@ class DeadLetterQueue {
   void Push(DeadLetterReason reason, std::string_view payload,
             Timestamp ingest_time) {
     std::lock_guard<std::mutex> lock(mutex_);
-    while (queue_.size() >= capacity_) {
-      queue_.pop_front();
-      ++stats_.evicted;
-    }
-    queue_.push_back(DeadLetter{ingest_time, reason, std::string(payload)});
-    ++stats_.enqueued;
-    ++stats_.by_reason[static_cast<size_t>(reason)];
+    PushLocked(DeadLetter{ingest_time, reason, std::string(payload)});
+  }
+
+  /// \brief Retains every record of `held` in order, as `Push` would, and
+  /// clears it: the release of the rejects a pipeline holds with its open
+  /// window until the window closes.
+  void PushHeld(std::vector<DeadLetter>* held) {
+    if (held->empty()) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (DeadLetter& letter : *held) PushLocked(std::move(letter));
+    held->clear();
   }
 
   /// \brief Counts `n` dropped records whose payloads are already gone.
@@ -130,6 +136,16 @@ class DeadLetterQueue {
   }
 
  private:
+  void PushLocked(DeadLetter letter) {
+    while (queue_.size() >= capacity_) {
+      queue_.pop_front();
+      ++stats_.evicted;
+    }
+    ++stats_.enqueued;
+    ++stats_.by_reason[static_cast<size_t>(letter.reason)];
+    queue_.push_back(std::move(letter));
+  }
+
   const size_t capacity_;
   mutable std::mutex mutex_;
   std::deque<DeadLetter> queue_;

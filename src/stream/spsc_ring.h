@@ -9,12 +9,11 @@
 /// per-item cost).
 ///
 /// Every hot hop in the sharded pipeline is single-producer/single-consumer:
-/// the coordinator is the only thread pushing a shard worker's commands, a
-/// shard core is the only thread feeding its enrichment side-stage, and the
-/// pair-stage coordinator is the only thread filling each cell worker's
-/// task ring. That restriction buys a wait-free fast path: one atomic store
-/// publishes an item, one atomic store consumes it, no lock, no syscall, no
-/// shared line bounced between the two sides.
+/// the coordinator is the only thread pushing a shard worker's commands, and
+/// a shard core is the only thread feeding its enrichment side-stage. That
+/// restriction buys a wait-free fast path: one atomic store publishes an
+/// item, one atomic store consumes it, no lock, no syscall, no shared line
+/// bounced between the two sides.
 ///
 /// Mechanical sympathy:
 ///  * The producer half (`tail_` + its cached view of `head_`) and the

@@ -9,6 +9,8 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -815,6 +817,210 @@ TEST_F(EventEngineTest, FastTransitThroughReserveNotFishing) {
   }
   for (const auto& ev : events) {
     EXPECT_NE(ev.type, EventType::kIllegalFishing);
+  }
+}
+
+// --- PairEventEngine (windowed close) --------------------------------------
+//
+// The pair rules as both pipelines run them: observation windows closed
+// through `PairEventEngine::CloseWindow`. The live picture buckets vessels
+// on a 0.1° grid, so the geometry below puts partners on either side of a
+// cell line, around a cell corner, and on either side of the antimeridian.
+
+constexpr Timestamp kPairT0 = 1700000000000;
+
+PairObservation PairObs(Mmsi mmsi, Timestamp t, double lat, double lon,
+                        double sog_mps, double cog_deg = 90.0) {
+  PairObservation obs;
+  obs.mmsi = mmsi;
+  obs.point.t = t;
+  obs.point.position = GeoPoint(lat, lon);
+  obs.point.sog_mps = static_cast<float>(sog_mps);
+  obs.point.cog_deg = static_cast<float>(cog_deg);
+  return obs;
+}
+
+/// Closes `windows` in order on `engine` (flushing with the last one) and
+/// returns every event.
+std::vector<DetectedEvent> CloseWindows(
+    PairEventEngine* engine,
+    const std::vector<std::vector<PairObservation>>& windows,
+    bool flush_last = true) {
+  std::vector<DetectedEvent> out;
+  for (size_t i = 0; i < windows.size(); ++i) {
+    std::vector<PairObservation> window = windows[i];
+    std::vector<DetectedEvent> events;
+    engine->CloseWindow(&window, flush_last && i + 1 == windows.size(),
+                        &events);
+    out.insert(out.end(), events.begin(), events.end());
+  }
+  return out;
+}
+
+size_t CountEvents(const std::vector<DetectedEvent>& events, EventType type) {
+  return static_cast<size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [type](const DetectedEvent& ev) { return ev.type == type; }));
+}
+
+TEST(PairEventEngineTest, RendezvousAcrossCellLineReportedOnce) {
+  // Two slow vessels ~85 m apart with a live-picture cell line (lon 5.0)
+  // between them, over several windows: exactly one rendezvous.
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int minute = 0; minute <= 15; ++minute) {
+    const Timestamp t = kPairT0 + minute * kMillisPerMinute;
+    windows.back().push_back(PairObs(111000001, t, 40.0, 4.9995, 0.4));
+    windows.back().push_back(PairObs(222000002, t, 40.0, 5.0005, 0.5));
+    if (minute % 5 == 4) windows.emplace_back();
+  }
+  PairEventEngine engine;
+  const auto events = CloseWindows(&engine, windows);
+  EXPECT_EQ(CountEvents(events, EventType::kRendezvous), 1u);
+}
+
+TEST(PairEventEngineTest, CollisionAcrossCellLineReportedOnce) {
+  // Head-on along one parallel: the vessels start ~8 km apart on either
+  // side of lon 12.0 and close at 12 m/s (TCPA ≈ 11 min). One alert per
+  // pair per re-alert window (10 min > the 4.5 min run).
+  const double lat = 38.0;
+  const double deg_per_m_lon =
+      1.0 / (DegToRad(1.0) * kEarthRadiusMetres * std::cos(DegToRad(lat)));
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int step = 0; step < 10; ++step) {
+    const Timestamp t = kPairT0 + step * 30 * kMillisPerSecond;
+    const double offset = (4000.0 - 6.0 * 30 * step) * deg_per_m_lon;
+    windows.back().push_back(PairObs(111000001, t, lat, 12.0 - offset, 6.0,
+                                     90.0));
+    windows.back().push_back(PairObs(222000002, t, lat, 12.0 + offset, 6.0,
+                                     270.0));
+    if (step % 4 == 3) windows.emplace_back();
+  }
+  PairEventEngine engine;
+  const auto events = CloseWindows(&engine, windows);
+  EXPECT_EQ(CountEvents(events, EventType::kCollisionRisk), 1u);
+}
+
+TEST(PairEventEngineTest, CellCornerFleetReportsEveryPairOnce) {
+  // Four slow vessels, one per quadrant around the cell corner (43.0, 7.0),
+  // plus two co-located exactly at the corner: every pairwise distance is
+  // ≤ ~90 m, so each of the C(6,2) pairs is a rendezvous, reported once.
+  const double d = 0.0003;
+  const std::vector<std::tuple<Mmsi, double, double>> fleet = {
+      {301000001, 43.0 - d, 7.0 - d}, {301000002, 43.0 - d, 7.0 + d},
+      {301000003, 43.0 + d, 7.0 - d}, {301000004, 43.0 + d, 7.0 + d},
+      {301000005, 43.0, 7.0},         {301000006, 43.0, 7.0},
+  };
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int minute = 0; minute <= 14; ++minute) {
+    const Timestamp t = kPairT0 + minute * kMillisPerMinute;
+    for (const auto& [mmsi, lat, lon] : fleet) {
+      windows.back().push_back(PairObs(mmsi, t, lat, lon, 0.3));
+    }
+    if (minute % 4 == 3) windows.emplace_back();
+  }
+  PairEventEngine engine;
+  const auto events = CloseWindows(&engine, windows);
+  EXPECT_EQ(CountEvents(events, EventType::kRendezvous), 15u);
+}
+
+TEST(PairEventEngineTest, AntimeridianNeverPairsAcrossTheSeam) {
+  // One close pair on each side of the antimeridian, plus a "pair" ~44 m
+  // apart physically but straddling the seam. The live picture's grid is
+  // unwrapped, so the engine never pairs across it.
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int minute = 0; minute <= 14; ++minute) {
+    const Timestamp t = kPairT0 + minute * kMillisPerMinute;
+    auto& window = windows.back();
+    window.push_back(PairObs(401000001, t, 5.0, 179.9930, 0.4));
+    window.push_back(PairObs(401000002, t, 5.0, 179.9938, 0.4));
+    window.push_back(PairObs(402000001, t, 5.0, -179.9930, 0.4));
+    window.push_back(PairObs(402000002, t, 5.0, -179.9938, 0.4));
+    window.push_back(PairObs(403000001, t, 5.0, 179.9998, 0.4));
+    window.push_back(PairObs(403000002, t, 5.0, -179.9998, 0.4));
+    if (minute % 4 == 3) windows.emplace_back();
+  }
+  PairEventEngine engine;
+  const auto events = CloseWindows(&engine, windows);
+  EXPECT_EQ(CountEvents(events, EventType::kRendezvous), 2u)
+      << "east pair + west pair; never across the seam";
+}
+
+TEST(PairEventEngineTest, ExportRestoreRoundTripContinuesIdentically) {
+  // 40 vessels random-walking a ~20 km box (collision alerts and re-alert
+  // clocks), plus a slow pair whose rendezvous dwell starts before the
+  // export and is reported after it: the restored engine must carry the
+  // dwell's start, not restart it.
+  Rng rng(20260728);
+  struct Walker {
+    Mmsi mmsi;
+    double lat, lon, speed, course;
+  };
+  std::vector<Walker> fleet;
+  for (int i = 0; i < 40; ++i) {
+    fleet.push_back(Walker{static_cast<Mmsi>(600000001 + i),
+                           39.0 + rng.Uniform(0.0, 0.18),
+                           8.0 + rng.Uniform(0.0, 0.18), rng.Uniform(0.0, 8.0),
+                           rng.Uniform(0.0, 360.0)});
+  }
+  const double deg_per_m = 1.0 / (DegToRad(1.0) * kEarthRadiusMetres);
+  std::vector<std::vector<PairObservation>> windows(1);
+  for (int step = 0; step < 120; ++step) {  // 60 minutes at 30 s ticks
+    const Timestamp t = kPairT0 + step * 30 * kMillisPerSecond;
+    for (Walker& v : fleet) {
+      const double rad = DegToRad(v.course);
+      v.lat += std::cos(rad) * v.speed * 30.0 * deg_per_m;
+      v.lon += std::sin(rad) * v.speed * 30.0 * deg_per_m;
+      v.course += rng.Uniform(-15.0, 15.0);
+      v.speed = std::clamp(v.speed + rng.Uniform(-0.4, 0.4), 0.0, 9.0);
+      windows.back().push_back(
+          PairObs(v.mmsi, t, v.lat, v.lon, v.speed, v.course));
+    }
+    if (step >= 60) {  // the slow pair, from minute 30
+      windows.back().push_back(PairObs(700000001, t, 39.5, 8.5, 0.4));
+      windows.back().push_back(PairObs(700000002, t, 39.5, 8.5006, 0.4));
+    }
+    if (step % 10 == 9) windows.emplace_back();
+  }
+  windows.pop_back();  // the empty window opened after the last step
+  ASSERT_EQ(windows.size(), 12u);
+  const size_t kExportAfter = 7;  // minute 35: the slow pair dwells 5 min
+  const std::vector<std::vector<PairObservation>> head(
+      windows.begin(), windows.begin() + kExportAfter);
+  const std::vector<std::vector<PairObservation>> tail(
+      windows.begin() + kExportAfter, windows.end());
+
+  PairEventEngine original;
+  const auto head_events = CloseWindows(&original, head, /*flush_last=*/false);
+  EXPECT_GT(CountEvents(head_events, EventType::kCollisionRisk), 0u);
+
+  std::vector<PairEventEngine::VesselSnapshot> vessels;
+  std::vector<PairEventEngine::RendezvousSnapshot> rendezvous;
+  std::vector<PairEventEngine::CollisionSnapshot> collisions;
+  original.ExportVessels(&vessels);
+  original.ExportRendezvous(&rendezvous);
+  original.ExportCollisions(&collisions);
+  ASSERT_EQ(vessels.size(), 42u);
+  ASSERT_FALSE(rendezvous.empty());
+  ASSERT_FALSE(collisions.empty());
+
+  PairEventEngine restored;
+  for (const auto& v : vessels) restored.RestoreVessel(v);
+  for (const auto& r : rendezvous) restored.RestoreRendezvous(r);
+  for (const auto& c : collisions) restored.RestoreCollision(c);
+
+  const auto expected = CloseWindows(&original, tail);
+  const auto actual = CloseWindows(&restored, tail);
+  ASSERT_GT(CountEvents(expected, EventType::kRendezvous), 0u);
+  ASSERT_GT(CountEvents(expected, EventType::kCollisionRisk), 0u);
+  ASSERT_EQ(expected.size(), actual.size());
+  const auto key = [](const DetectedEvent& ev) {
+    return std::make_tuple(ev.detected_at, ev.vessel_a, ev.vessel_b,
+                           static_cast<int>(ev.type), ev.start, ev.end,
+                           ev.zone_id, ev.severity, ev.where.lat,
+                           ev.where.lon);
+  };
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(key(expected[i]), key(actual[i])) << "event " << i;
   }
 }
 

@@ -153,7 +153,10 @@ TEST(DeadLetterQueueTest, EvictsPayloadsButNeverCounts) {
   DeadLetterQueue q(2);
   q.Push(DeadLetterReason::kBadSentence, "l1", 1);
   q.Push(DeadLetterReason::kBadSentence, "l2", 2);
-  q.Push(DeadLetterReason::kBadPayload, "l3", 3);  // evicts l1
+  std::vector<DeadLetter> held = {
+      DeadLetter{3, DeadLetterReason::kBadPayload, "l3"}};
+  q.PushHeld(&held);  // a window's held rejects, as Push: evicts l1
+  EXPECT_TRUE(held.empty());
   q.PushCount(DeadLetterReason::kDegradedDrop, 5);
 
   const DeadLetterStats s = q.stats();
@@ -519,28 +522,6 @@ TEST(SupervisedPipelineTest, DeadLetterLedgersMatchSequentialPipeline) {
   for (size_t r = 0; r < kDeadLetterReasonCount; ++r) {
     EXPECT_EQ(a.by_reason[r], b.by_reason[r]) << r;
   }
-}
-
-TEST(SupervisedPipelineTest, PairCellCrashFallsBackToSequentialWindow) {
-  const ScenarioOutput scenario = MakeScenario(948, /*perfect_reception=*/false);
-  PipelineConfig pc = TestConfig();
-  pc.pair_threads = 2;
-
-  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
-                              nullptr);
-  const auto reference = sequential.Run(scenario.nmea);
-  ASSERT_GT(reference.size(), 0u);
-
-  PipelineMetrics metrics;
-  std::vector<DetectedEvent> events;
-  {
-    ScopedFaultPlan plan(FaultPlan().Fail("pair.cell_task", 2));
-    events = RunSharded(pc, 2, scenario, &metrics);
-  }
-  // The failed parallel window was recomputed sequentially — equivalence
-  // with the single-threaded pair engine is what makes that fallback sound.
-  ExpectSameEvents(reference, events, /*compare_order=*/false);
-  EXPECT_GE(metrics.health.supervisor.pair_windows_recovered, 1u);
 }
 
 TEST(SupervisedPipelineTest, EnrichmentTransformCrashIsIsolated) {

@@ -140,12 +140,10 @@ TEST(ShardedPipelineTest, ManyShardsProduceSameEventMultiset) {
 }
 
 // Hop conservation at the post-Finish quiescent point: every command pushed
-// to a shard (and every cell task pushed to a pair worker) was popped, and
-// pops were accounted to batch buckets.
+// to a shard was popped, and pops were accounted to batch buckets.
 TEST(ShardedPipelineTest, HopCountersAreConserved) {
   const ScenarioOutput scenario = MakeScenario(903, /*perfect_reception=*/false);
-  PipelineConfig pc = TestConfig();
-  pc.pair_threads = 2;  // exercise the pair-stage hop as well
+  const PipelineConfig pc = TestConfig();
   ShardedPipeline::Options opts;
   opts.num_shards = 2;
   ShardedPipeline pipeline(pc, opts, &SharedWorld().zones(), nullptr,
@@ -157,8 +155,6 @@ TEST(ShardedPipelineTest, HopCountersAreConserved) {
   EXPECT_EQ(hop.pushed, hop.popped);
   EXPECT_GT(hop.batches(), 0u);
   EXPECT_GT(hop.depth_high_water, 0u);
-  const QueueHopStats& pair_hop = pipeline.metrics().pair_hop;
-  EXPECT_EQ(pair_hop.pushed, pair_hop.popped);
 }
 
 TEST(ShardedPipelineTest, SplitBatchesMatchSingleBatch) {
@@ -324,12 +320,30 @@ std::vector<Event<std::string>> SaltedStream(uint64_t seed) {
   return salted;
 }
 
+// Drains both pipelines' dead-letter queues and expects the same records
+// in the same order. Returns how many each drained.
+size_t ExpectSameDrainedDeadLetters(MaritimePipeline* sequential,
+                                    ShardedPipeline* sharded) {
+  std::vector<DeadLetter> seq_letters, shard_letters;
+  sequential->DrainDeadLetters(&seq_letters);
+  sharded->DrainDeadLetters(&shard_letters);
+  EXPECT_EQ(seq_letters.size(), shard_letters.size());
+  for (size_t i = 0; i < std::min(seq_letters.size(), shard_letters.size());
+       ++i) {
+    EXPECT_EQ(seq_letters[i].reason, shard_letters[i].reason) << i;
+    EXPECT_EQ(seq_letters[i].payload, shard_letters[i].payload) << i;
+    EXPECT_EQ(seq_letters[i].ingest_time, shard_letters[i].ingest_time) << i;
+  }
+  return seq_letters.size();
+}
+
 TEST(ShardedPipelineTest, BatchSizesMatchSequentialCallForCall) {
   // The coordinator decodes each line on arrival and keeps several windows
   // in flight; none of that may show through the API. Whatever the batch
   // size, every call returns the events the sequential pipeline's same call
-  // returns, and leaves the same closed-window metrics; Finish leaves the
-  // same dead-letter ledger.
+  // returns, and leaves the same closed-window metrics and the same
+  // dead-letter ledger: both pipelines hold an open window's rejects until
+  // it closes, so a drain after any call returns the same records.
   const std::vector<Event<std::string>> stream = SaltedStream(907);
   const PipelineConfig pc = TestConfig();
   for (const size_t num_shards : {1, 3}) {
@@ -343,7 +357,7 @@ TEST(ShardedPipelineTest, BatchSizesMatchSequentialCallForCall) {
       ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr,
                               nullptr, nullptr);
       std::span<const Event<std::string>> all(stream);
-      size_t seq_total = 0, calls_with_events = 0;
+      size_t seq_total = 0, calls_with_events = 0, letters = 0;
       for (size_t off = 0; off < all.size(); off += batch) {
         const auto part = all.subspan(off, std::min(batch, all.size() - off));
         const auto seq_events = sequential.IngestBatch(part);
@@ -354,6 +368,10 @@ TEST(ShardedPipelineTest, BatchSizesMatchSequentialCallForCall) {
             << "after the call at line " << off;
         ASSERT_EQ(sharded.metrics().ingest_rate.count(),
                   sequential.metrics().ingest_rate.count());
+        ASSERT_EQ(sharded.metrics().health.dead_letter.evicted,
+                  sequential.metrics().health.dead_letter.evicted);
+        letters += ExpectSameDrainedDeadLetters(&sequential, &sharded);
+        ASSERT_FALSE(HasFailure()) << "after the call at line " << off;
         seq_total += seq_events.size();
         calls_with_events += !seq_events.empty();
       }
@@ -363,18 +381,10 @@ TEST(ShardedPipelineTest, BatchSizesMatchSequentialCallForCall) {
                        /*compare_order=*/true);
       EXPECT_EQ(ClosedWindowCounters(sharded.metrics()),
                 ClosedWindowCounters(sequential.metrics()));
-
-      std::vector<DeadLetter> seq_letters, shard_letters;
-      sequential.DrainDeadLetters(&seq_letters);
-      sharded.DrainDeadLetters(&shard_letters);
-      ASSERT_GT(seq_letters.size(), 0u);
-      ASSERT_EQ(seq_letters.size(), shard_letters.size());
-      for (size_t i = 0; i < seq_letters.size(); ++i) {
-        EXPECT_EQ(seq_letters[i].reason, shard_letters[i].reason) << i;
-        EXPECT_EQ(seq_letters[i].payload, shard_letters[i].payload) << i;
-        EXPECT_EQ(seq_letters[i].ingest_time, shard_letters[i].ingest_time)
-            << i;
-      }
+      letters += ExpectSameDrainedDeadLetters(&sequential, &sharded);
+      EXPECT_GT(letters, 0u);
+      const DeadLetterStats& ledger = sequential.metrics().health.dead_letter;
+      EXPECT_EQ(letters + ledger.evicted, ledger.enqueued);
     }
   }
 }
@@ -408,102 +418,6 @@ TEST(ShardedPipelineTest, BatchThatClosesNoWindowLeavesMetricsUnchanged) {
   std::vector<DeadLetter> letters;
   sharded.DrainDeadLetters(&letters);
   EXPECT_EQ(letters.size(), before.health.dead_letter.enqueued);
-}
-
-// --- Grid-parallel pair stage (scenario replay) ------------------------------
-
-TEST(ShardedPipelineTest, GridPairStageOneShardIsByteIdenticalToSequential) {
-  // The tightest equivalence claim: one MMSI shard + grid-parallel pair
-  // stage reproduces the sequential pipeline's event stream exactly, in
-  // order, for several cell-grid/thread configurations.
-  const ScenarioOutput scenario = MakeScenario(921, /*perfect_reception=*/false);
-  const PipelineConfig pc = TestConfig();
-
-  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
-                              nullptr);
-  const auto seq_events = sequential.Run(scenario.nmea);
-  ASSERT_GT(seq_events.size(), 0u);
-
-  struct GridConfig {
-    size_t pair_threads;
-    double cell_m;
-  };
-  for (const GridConfig& grid :
-       {GridConfig{2, 0.0 /* auto: interaction radius */},
-        GridConfig{3, 5000.0}, GridConfig{4, 20000.0}}) {
-    PipelineConfig grid_pc = pc;
-    grid_pc.pair_threads = grid.pair_threads;
-    grid_pc.pair_cell_size_m = grid.cell_m;
-    ShardedPipeline::Options opts;
-    opts.num_shards = 1;
-    ShardedPipeline sharded(grid_pc, opts, &SharedWorld().zones(), nullptr,
-                            nullptr, nullptr);
-    const auto grid_events = sharded.Run(scenario.nmea);
-    ExpectSameEvents(seq_events, grid_events, /*compare_order=*/true);
-
-    const PipelineMetrics& ms = sequential.metrics();
-    const PipelineMetrics& mp = sharded.metrics();
-    EXPECT_EQ(ms.events.points_in, mp.events.points_in);
-    EXPECT_EQ(ms.events.events_out, mp.events.events_out);
-    EXPECT_EQ(ms.alerts, mp.alerts);
-    EXPECT_EQ(mp.pair_stage.windows,
-              mp.pair_stage.parallel_windows + mp.pair_stage.sequential_windows);
-    EXPECT_GT(mp.pair_stage.parallel_windows, 0u)
-        << "pair_threads=" << grid.pair_threads << " cell=" << grid.cell_m
-        << ": grid path never engaged";
-  }
-}
-
-TEST(ShardedPipelineTest, GridPairStageManyShardsMatchSequentialMultiset) {
-  const ScenarioOutput scenario = MakeScenario(922, /*perfect_reception=*/true);
-  const PipelineConfig pc = TestConfig();
-
-  MaritimePipeline sequential(pc, &SharedWorld().zones(), nullptr, nullptr,
-                              nullptr);
-  const auto seq_events = sequential.Run(scenario.nmea);
-  ASSERT_GT(seq_events.size(), 0u);
-
-  for (size_t num_shards : {2, 4}) {
-    for (size_t pair_threads : {2, 4}) {
-      PipelineConfig grid_pc = pc;
-      grid_pc.pair_threads = pair_threads;
-      ShardedPipeline::Options opts;
-      opts.num_shards = num_shards;
-      ShardedPipeline sharded(grid_pc, opts, &SharedWorld().zones(), nullptr,
-                              nullptr, nullptr);
-      const auto grid_events = sharded.Run(scenario.nmea);
-      ExpectSameEvents(seq_events, grid_events, /*compare_order=*/false);
-      EXPECT_EQ(sequential.metrics().events.events_out,
-                sharded.metrics().events.events_out);
-      EXPECT_EQ(sequential.metrics().alerts, sharded.metrics().alerts);
-      EXPECT_GT(sharded.metrics().pair_stage.parallel_windows, 0u);
-    }
-  }
-}
-
-TEST(ShardedPipelineTest, GridPairStageReportsOccupancyAndHaloTraffic) {
-  const ScenarioOutput scenario = MakeScenario(923, /*perfect_reception=*/true);
-  PipelineConfig pc = TestConfig();
-  pc.pair_threads = 3;
-  pc.pair_cell_size_m = 8000.0;
-
-  ShardedPipeline::Options opts;
-  opts.num_shards = 2;
-  ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr, nullptr,
-                          nullptr);
-  sharded.Run(scenario.nmea);
-
-  const PairStageStats& stage = sharded.metrics().pair_stage;
-  EXPECT_GT(stage.windows, 0u);
-  EXPECT_GT(stage.parallel_windows, 0u);
-  EXPECT_GT(stage.observations, 0u);
-  EXPECT_GT(stage.cells, 0u);
-  EXPECT_GE(stage.max_cells_per_window, 2u);
-  EXPECT_GT(stage.max_cell_observations, 0u);
-  EXPECT_GE(stage.max_halo_rings, 1);
-  EXPECT_GT(stage.max_cell_share, 0.0);
-  EXPECT_LE(stage.max_cell_share, 1.0);
-  EXPECT_GT(stage.MeanCellsPerWindow(), 1.0);
 }
 
 // --- Partitioned storage ----------------------------------------------------
