@@ -33,9 +33,7 @@
 #include "core/sharded_pipeline.h"
 #include "net/tcp_ingest_server.h"
 #include "stream/frame.h"
-#include "stream/queue.h"
 #include "stream/rate.h"
-#include "stream/spsc_ring.h"
 #include "va/situation.h"
 
 // Heap probe for the allocations/line axis of the decode microbench: this
@@ -228,55 +226,6 @@ void BM_FullArchitecture(benchmark::State& state) {
 }
 BENCHMARK(BM_FullArchitecture)->Unit(benchmark::kMillisecond);
 
-// The isolated hand-off cost of one inter-stage hop: push `batch` items
-// through a queue and pop them back, single-threaded. Running both sides on
-// one thread measures the *uncontended* per-item hand-off cost — exactly
-// the price every window hand-off pays before any cross-core effects — and
-// is reproducible on single-core CI hosts where a two-thread arrangement
-// would measure the scheduler instead. The spsc:1 arm is the lock-free
-// SpscRing the pipeline hops run on (atomic store per publish, zero
-// notifies when nobody waits); spsc:0 is the mutex+condvar BoundedQueue
-// reference (two lock acquisitions per cycle minimum). CI gates the spsc:1
-// arm's items_per_s against the committed baseline
-// (tools/check_bench_regression.py).
-template <typename Queue>
-void RunQueueHop(benchmark::State& state, Queue& queue) {
-  const size_t batch = static_cast<size_t>(state.range(1));
-  std::vector<uint64_t> out;
-  out.reserve(batch);
-  uint64_t items = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch; ++i) queue.Push(i);
-    out.clear();
-    size_t got = 0;
-    while (got < batch) got += queue.PopBatch(&out, batch - got);
-    benchmark::DoNotOptimize(out.data());
-    items += batch;
-  }
-  state.counters["items_per_s"] = benchmark::Counter(
-      static_cast<double>(items), benchmark::Counter::kIsRate);
-  state.counters["notifies"] = static_cast<double>(queue.stats().notifies);
-}
-
-void BM_QueueHop(benchmark::State& state) {
-  if (state.range(0) != 0) {
-    SpscRing<uint64_t> ring(/*min_capacity=*/256);
-    RunQueueHop(state, ring);
-  } else {
-    BoundedQueue<uint64_t> queue(/*capacity=*/256);
-    RunQueueHop(state, queue);
-  }
-}
-BENCHMARK(BM_QueueHop)
-    ->ArgNames({"spsc", "batch"})
-    ->Args({1, 1})
-    ->Args({0, 1})
-    ->Args({1, 16})
-    ->Args({0, 16})
-    ->Args({1, 64})
-    ->Args({0, 64})
-    ->Unit(benchmark::kMicrosecond);
-
 // The tentpole scaling axis: the same architecture across 1..N MMSI shards.
 // Near-linear growth of lines_per_s demonstrates that every stateful stage
 // partitions cleanly by vessel (AISdb-style partitioning, arXiv:2407.08082).
@@ -424,7 +373,7 @@ BENCHMARK(BM_EnrichmentSideStage)
 // The historical serving tier under reader load: arg0 = concurrent reader
 // threads, arg1 = live ingest on/off. Readers cycle a four-spec battery
 // (full scan, time range, region, vessel set) against the per-shard epoch
-// snapshots via the QueryEngine fan-out; the live:1 arm holds back the
+// snapshots via QueryEngine::Execute; the live:1 arm holds back the
 // final quarter of the corpus and trickles it in chunk-by-chunk while the
 // readers run, so the measured latencies include writer/reader contention
 // on the snapshot handoff — the "N concurrent readers against live ingest"
@@ -452,9 +401,7 @@ void BM_QueryServing(benchmark::State& state) {
   pipeline.IngestBatch(all.subspan(0, ingested));
   if (!live) pipeline.Finish();
 
-  QueryEngine::Options qopts;
-  qopts.num_workers = 2;
-  QueryEngine engine(pipeline.archive_view(), qopts);
+  QueryEngine engine(pipeline.archive_view());
 
   // Derive the battery's filters from what the archive actually holds so
   // every spec matches real data (an empty-result query would measure the

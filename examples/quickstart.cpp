@@ -79,9 +79,9 @@ int main() {
   std::printf("  vessels tracked      : %zu (across %zu store partitions)\n",
               store.VesselCount(), store.partition_count());
 
-  // Per-hop hand-off health: how deep each stage's ring backed up, how
+  // Per-hop hand-off health: how deep each stage's queue backed up, how
   // often a side had to wait, and how many items each consumer wake-up
-  // carried (the lock-free rings move work in batches, not item-by-item).
+  // carried (both hops move work in batches, not item-by-item).
   const auto print_hop = [](const char* name, const QueueHopStats& hop) {
     std::printf("  %-20s : %llu items, depth high-water %zu, "
                 "waits %llu/%llu, %.1f items/batch\n",
@@ -91,7 +91,7 @@ int main() {
                 static_cast<unsigned long long>(hop.pop_waits),
                 hop.MeanBatch());
   };
-  std::printf("\nqueue hops (lock-free SPSC rings)\n");
+  std::printf("\nqueue hops (mutex shard queue, lock-free enrichment ring)\n");
   print_hop("coord -> shard", m.shard_hop);
   print_hop("shard -> enrichment", m.enrichment_stage.hop);
 

@@ -12,7 +12,7 @@
 ///     if (auto a = FaultInjector::HitIo("lsm.wal.append")) …  // IO result
 ///
 /// With no plan armed a site costs one relaxed atomic load (the bench gate
-/// `BM_DecodeMicro` / `BM_QueueHop` proves the hooks are free). Tests arm a
+/// `BM_DecodeMicro` proves the hooks are free). Tests arm a
 /// `FaultPlan` — a set of fire-on-Nth-hit rules — and the Nth execution of
 /// the named site throws `FaultInjectedError`, reports an IO error / short
 /// write to its caller, or sleeps. Hit counting is global and

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <map>
+#include <memory>
 #include <numeric>
 
 namespace marlin {
@@ -105,31 +106,9 @@ void Resample(const QuerySpec& spec, std::vector<QueryRow>* rows) {
 
 }  // namespace
 
-QueryEngine::QueryEngine(std::vector<const ShardArchive*> partitions)
-    : QueryEngine(std::move(partitions), Options()) {}
-
-QueryEngine::QueryEngine(std::vector<const ShardArchive*> partitions,
-                         const Options& options)
-    : options_(options),
-      channel_(std::max<size_t>(1, options.queue_capacity)) {
+QueryEngine::QueryEngine(std::vector<const ShardArchive*> partitions) {
   for (const ShardArchive* p : partitions) {
     if (p != nullptr) partitions_.push_back(p);
-  }
-  workers_.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-QueryEngine::~QueryEngine() {
-  channel_.Close();
-  for (std::thread& w : workers_) w.join();
-}
-
-void QueryEngine::WorkerLoop() {
-  while (auto task = channel_.Pop()) {
-    ScanPartition(*task->snapshot, *task->spec, task->rows, task->stats);
-    task->done->count_down();
   }
 }
 
@@ -216,25 +195,9 @@ QueryResult QueryEngine::Execute(const QuerySpec& spec) const {
 
   std::vector<std::vector<QueryRow>> partition_rows(snaps.size());
   std::vector<QueryStats> partition_stats(snaps.size());
-  if (options_.num_workers == 0) {
-    for (size_t i = 0; i < snaps.size(); ++i) {
-      ScanPartition(*snaps[i], resolved, &partition_rows[i],
-                    &partition_stats[i]);
-    }
-  } else {
-    std::latch done(static_cast<ptrdiff_t>(snaps.size()));
-    for (size_t i = 0; i < snaps.size(); ++i) {
-      Task task{snaps[i].get(), &resolved, &partition_rows[i],
-                &partition_stats[i], &done};
-      if (!channel_.Push(std::move(task))) {
-        // Channel closed (destruction race): scan inline so the latch and
-        // the result stay correct.
-        ScanPartition(*snaps[i], resolved, &partition_rows[i],
-                      &partition_stats[i]);
-        done.count_down();
-      }
-    }
-    done.wait();
+  for (size_t i = 0; i < snaps.size(); ++i) {
+    ScanPartition(*snaps[i], resolved, &partition_rows[i],
+                  &partition_stats[i]);
   }
 
   // Canonical order across partitions: stable merges in partition order,

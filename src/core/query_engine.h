@@ -12,10 +12,8 @@
 /// Concurrency model: partitions publish immutable epoch snapshots
 /// (`ShardArchive::snapshot()`, a shared_ptr copy), so query execution
 /// holds no lock while scanning — N readers run against live ingest
-/// without stalling it. Fan-out rides the mutex `BoundedQueue`, not the
-/// pipeline's lock-free rings: the query hop is many-producer (every reader
-/// thread enqueues) and many-consumer (the worker pool), so the SPSC
-/// contract does not hold here.
+/// without stalling it. Each query scans its partitions inline on the
+/// calling reader thread; concurrency comes from concurrent readers.
 ///
 /// Determinism: rows are totally ordered by (event time, MMSI, payload) and
 /// every vessel lives in exactly one partition, so the merged stream is
@@ -26,17 +24,13 @@
 
 #include <bit>
 #include <cstdint>
-#include <latch>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "ais/types.h"
 #include "common/time.h"
 #include "geo/geometry.h"
 #include "storage/archive.h"
-#include "stream/queue.h"
 
 namespace marlin {
 
@@ -114,30 +108,12 @@ struct QueryResult {
 /// reader threads may call `Execute` concurrently while ingest runs.
 class QueryEngine {
  public:
-  struct Options {
-    /// Fan-out worker pool size. 0 scans the partitions inline on the
-    /// calling reader thread (no pool, no channel hop) — the sequential
-    /// reference arm.
-    size_t num_workers = 0;
-    /// Fan-out channel capacity (tasks, not queries).
-    size_t queue_capacity = 64;
-  };
-
   /// \brief `partitions` must outlive the engine (they are the pipeline's
   /// shard archives; null entries are ignored).
   explicit QueryEngine(std::vector<const ShardArchive*> partitions);
-  QueryEngine(std::vector<const ShardArchive*> partitions,
-              const Options& options);
-  ~QueryEngine();
-
-  QueryEngine(const QueryEngine&) = delete;
-  QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// \brief Runs one query against the partitions' current epoch snapshots.
   QueryResult Execute(const QuerySpec& spec) const;
-
-  /// \brief Fan-out channel health (zeros when num_workers == 0).
-  QueueHopStats hop_stats() const { return channel_.stats(); }
 
   size_t num_partitions() const { return partitions_.size(); }
 
@@ -148,24 +124,11 @@ class QueryEngine {
     std::vector<Mmsi> vessels_sorted;
   };
 
-  struct Task {
-    const ShardArchive::PartitionSnapshot* snapshot = nullptr;
-    const ResolvedSpec* spec = nullptr;
-    std::vector<QueryRow>* rows = nullptr;
-    QueryStats* stats = nullptr;
-    std::latch* done = nullptr;
-  };
-
   static void ScanPartition(const ShardArchive::PartitionSnapshot& snapshot,
                             const ResolvedSpec& resolved,
                             std::vector<QueryRow>* rows, QueryStats* stats);
-  void WorkerLoop();
 
   std::vector<const ShardArchive*> partitions_;
-  Options options_;
-  /// MPMC fan-out hop (see file comment).
-  mutable BoundedQueue<Task> channel_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace marlin

@@ -15,12 +15,14 @@
 ///        ▼
 ///   N × PipelineShardCore (reconstruction → synopses → store partition →
 ///        single-vessel event rules), one thread each, fed through a
-///        lock-free SpscRing (the coordinator is each command queue's only
-///        producer) — each core also feeds an async enrichment side-stage
-///        (own worker + bounded lossy ring, doorbell rung once per window)
-///        whose output surfaces through SetEnrichedSink / DrainEnriched.
-///        Up to `kShardQueueCapacity` (4) dispatched windows are in flight
-///        while the coordinator decodes the next one
+///        mutex `BoundedQueue` that carries one task per window (the hop
+///        is window-granular, so a lock per hand-off costs nothing
+///        measurable) — each core also feeds an async enrichment
+///        side-stage (own worker + bounded lock-free lossy ring, the only
+///        per-point hop, doorbell rung once per window) whose output
+///        surfaces through SetEnrichedSink / DrainEnriched. Up to
+///        `kShardQueueCapacity` (4) dispatched windows are in flight while
+///        the coordinator decodes the next one
 ///        │ merge, oldest window first: pair observations sorted by
 ///        │ (event time, MMSI)
 ///        ▼
@@ -63,8 +65,8 @@
 #include "core/supervisor.h"
 #include "storage/trajectory_store.h"
 #include "stream/dead_letter.h"
+#include "stream/queue.h"
 #include "stream/shard_router.h"
-#include "stream/spsc_ring.h"
 
 namespace marlin {
 
@@ -274,9 +276,9 @@ class ShardedPipeline {
         : index(shard_index), queue(queue_capacity), sup(replay_max) {}
     const size_t index;  ///< names the archive partition on rebuild
     std::unique_ptr<PipelineShardCore> core;
-    /// Command hop. The coordinator is the only producer and the shard
-    /// worker the only consumer, so the SPSC contract holds.
-    SpscRing<ShardTask> queue;
+    /// Command hop: the coordinator pushes one task per window (two at
+    /// `Finish`), the shard worker pops them.
+    BoundedQueue<ShardTask> queue;
     ShardSupervisor sup;  ///< worker-thread state (stats read when quiescent)
     std::thread thread;
   };
@@ -285,7 +287,9 @@ class ShardedPipeline {
   /// flight: the coordinator merges the oldest window before it dispatches
   /// one more, so a shard never holds more than this many queued tasks and
   /// pushes never block (`Finish` queues its two tasks with nothing else in
-  /// flight).
+  /// flight). `metrics().shard_hop.push_waits` stays 0 by this contract;
+  /// the hop's `notifies` also reads 0, because a condvar signal is not
+  /// counted.
   static constexpr size_t kShardQueueCapacity = 4;
 
   void WorkerLoop(Shard* shard);

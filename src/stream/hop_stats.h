@@ -2,8 +2,9 @@
 #define MARLIN_STREAM_HOP_STATS_H_
 
 /// \file hop_stats.h
-/// \brief Per-hop queue instrumentation shared by every inter-stage queue
-/// (`SpscRing`, `SpscLossyRing`, `BoundedQueue`).
+/// \brief Per-hop queue instrumentation shared by both inter-stage queues:
+/// the mutex `BoundedQueue` (coordinator → shard) and the lock-free
+/// `SpscLossyRing` (shard → enrichment).
 
 #include <algorithm>
 #include <cstddef>
@@ -12,13 +13,15 @@
 namespace marlin {
 
 /// \brief Per-hop queue instrumentation, reported identically by the
-/// lock-free rings and the mutex queue. Mergeable across shards.
+/// lock-free ring and the mutex queue. Mergeable across shards.
 struct QueueHopStats {
   uint64_t pushed = 0;       ///< items accepted by the hop
   uint64_t popped = 0;       ///< items delivered by the hop
   uint64_t push_waits = 0;   ///< producer found the hop full (spun/blocked)
   uint64_t pop_waits = 0;    ///< consumer found the hop empty (spun/blocked)
-  uint64_t notifies = 0;     ///< wake-ups actually issued (batched & gated)
+  /// Wake-ups actually issued (batched & gated) by the lock-free ring;
+  /// always 0 on a mutex hop, which does not count its condvar signals.
+  uint64_t notifies = 0;
   size_t depth_high_water = 0;  ///< deepest observed backlog
   /// Pop-batch size histogram: how many items each consumer wake-up
   /// actually carried. Buckets: 1, 2–3, 4–7, 8–15, ≥16.

@@ -6,10 +6,10 @@
 /// same policy as `BoundedQueue::PushEvictOldest` — the input hop of the
 /// enrichment side-stage (stream/side_stage.h).
 ///
-/// `SpscRing` cannot evict under overload: the head slot belongs to the
-/// consumer, so a lossy push on it (`TryPush` + count) would drop the
-/// *incoming* item, and a saturated side-stage would keep a *stale* prefix
-/// of the stream. This ring keeps the newest items and evicts the oldest.
+/// It is the only lock-free queue in the pipeline, because its hop is the
+/// only per-item one: every clean point a shard core produces crosses it.
+/// The ring keeps the newest items and evicts the oldest, so a saturated
+/// side-stage never holds a *stale* prefix of the stream.
 ///
 /// Design: a Vyukov-style bounded queue specialised to one producer. Every
 /// cell carries a sequence number that encodes its lap state:
@@ -24,7 +24,7 @@
 /// so items are delivered exactly once or counted exactly once, preserving
 /// the `accepted == delivered + dropped` completeness invariant.
 ///
-/// Close/drain protocol matches `SpscRing`: after `Close()`, pushes are
+/// Close/drain protocol matches `BoundedQueue`: after `Close()`, pushes are
 /// rejected and pops drain the remaining items then report end-of-stream.
 /// The consumer parks on a doorbell after spinning. The doorbell is
 /// *deferred*: a push publishes without ringing it until the backlog
@@ -33,9 +33,8 @@
 /// explicitly (`Wake`) at the end of a burst; a consumer with its own
 /// latency budget may otherwise sit parked on a non-empty ring. Either
 /// ring happens only when a waiter registered. The park protocol runs
-/// seq_cst on both sides (this ring serves the lossy side-stage hop, not
-/// the router hot path, so it skips `SpscRing`'s asymmetric-membarrier
-/// optimisation).
+/// seq_cst on both sides, so either the producer observes the registered
+/// waiter or the waiter's re-check observes the published item.
 
 #include <atomic>
 #include <bit>
@@ -58,8 +57,8 @@ namespace marlin {
 template <typename T>
 class SpscLossyRing {
  public:
-  /// \brief Capacity is rounded up to a power of two (minimum 2), matching
-  /// `SpscRing`.
+  /// \brief Capacity is rounded up to a power of two (minimum 2) so index
+  /// arithmetic is a mask, never a divide.
   explicit SpscLossyRing(size_t min_capacity)
       : cells_(std::bit_ceil(std::max<size_t>(2, min_capacity))),
         mask_(cells_.size() - 1) {

@@ -2,14 +2,15 @@
 #define MARLIN_STREAM_QUEUE_H_
 
 /// \file queue.h
-/// \brief Bounded blocking MPMC queue — the backpressure boundary between
+/// \brief Bounded blocking queue — the backpressure boundary between
 /// pipeline stages (paper §2.1: in-situ processing must be communication
 /// efficient; a bounded queue is where that pressure becomes visible).
 ///
-/// The single-producer hot hops run on the lock-free rings
-/// (stream/spsc_ring.h, stream/lossy_ring.h); this queue serves the one
-/// genuinely many-producer/many-consumer hop (the `QueryEngine` fan-out)
-/// and is the reference the ring tests compare against.
+/// It carries the coordinator → shard hop, which moves one task per shard
+/// per window: a few thousand hand-offs per pass, so one lock per hand-off
+/// is noise. The only per-item hop (shard → enrichment, ~88x the traffic)
+/// runs on the lock-free `SpscLossyRing` (stream/lossy_ring.h), whose
+/// tests use this queue's `PushEvictOldest` as their reference.
 ///
 /// Condition variables are always notified *after* the mutex is released:
 /// notifying under the lock makes the woken thread immediately block on
@@ -159,7 +160,7 @@ class BoundedQueue {
 
   size_t capacity() const { return capacity_; }
 
-  /// \brief Snapshot of the hop counters, in the rings' format (`notifies`
+  /// \brief Snapshot of the hop counters, in the ring's format (`notifies`
   /// stays 0: a condvar signal is not counted as a gated wake-up).
   QueueHopStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);

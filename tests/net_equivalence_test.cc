@@ -1,9 +1,10 @@
 // The network front door's determinism proof: replaying a scenario corpus
 // over loopback TCP — framed with the full event envelope, written with
-// adversarial byte splits — must produce BYTE-IDENTICAL detected-event
-// streams and dead-letter ledgers to in-process `IngestBatch`, for the
-// sequential pipeline and for every shard count. The wire is then just a
-// transport; it can never change what the system computes.
+// adversarial byte splits — or over loopback UDP, one line per datagram,
+// must produce BYTE-IDENTICAL detected-event streams and dead-letter
+// ledgers to in-process `IngestBatch`, for the sequential pipeline and for
+// every shard count. The wire is then just a transport; it can never
+// change what the system computes.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "core/pipeline.h"
 #include "core/sharded_pipeline.h"
 #include "net/tcp_ingest_server.h"
+#include "net/udp_ingest_server.h"
 #include "sim/scenario.h"
 #include "sim/world.h"
 #include "stream/frame.h"
@@ -229,6 +232,115 @@ TEST(NetEquivalenceTest, ShardedPipelineMatchesAcrossShardCounts) {
     ASSERT_GT(ref_events.size(), 0u) << "shards " << shards;
     ExpectIdenticalEvents(ref_events, net_events);
     ExpectIdenticalLedgers(ref_ledger, net_ledger);
+  }
+}
+
+// Replays the corpus over loopback UDP, one line per datagram, returning
+// the lines the server received, in arrival order. A datagram carries no
+// envelope, so the server's clock replays the corpus's arrival clock: it
+// is read once per datagram, on the server thread, in arrival order. The
+// sender waits for every burst to be received before it sends the next,
+// so the socket buffer never overflows and no datagram is lost.
+std::vector<Event<std::string>> ReplayOverUdp(
+    const std::vector<Event<std::string>>& corpus) {
+  constexpr size_t kBurst = 32;
+  size_t stamped = 0;  // server thread only, until Stop() joins it
+  UdpIngestOptions options;
+  options.clock = [&corpus, &stamped] {
+    return stamped < corpus.size() ? corpus[stamped++].ingest_time
+                                   : kInvalidTimestamp;
+  };
+  UdpIngestServer server(options);
+  EXPECT_TRUE(server.Start().ok());
+
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  EXPECT_GE(fd, 0);
+  struct sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string gram;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    gram = corpus[i].payload + "\r\n";
+    EXPECT_EQ(::sendto(fd, gram.data(), gram.size(), 0,
+                       reinterpret_cast<struct sockaddr*>(&addr),
+                       sizeof(addr)),
+              static_cast<ssize_t>(gram.size()));
+    if ((i + 1) % kBurst == 0 || i + 1 == corpus.size()) {
+      EXPECT_TRUE(server.WaitForDatagrams(i + 1, 30000)) << "datagram " << i;
+    }
+  }
+  ::close(fd);
+  server.Stop();
+
+  EXPECT_EQ(stamped, corpus.size());
+  std::vector<Event<std::string>> received;
+  server.DrainLines(&received);
+  std::vector<DeadLetter> transport_rejects;
+  EXPECT_EQ(server.DrainDeadLetters(&transport_rejects), 0u);
+  EXPECT_EQ(server.stats().datagrams, corpus.size());
+  return received;
+}
+
+// Ingests `lines` as one batch, finishes, and drains the dead-letter
+// ledger: the events and ledger one arm of an equivalence proof compares.
+template <typename Pipeline>
+std::pair<std::vector<DetectedEvent>, std::vector<DeadLetter>> IngestAll(
+    Pipeline* pipeline, const std::vector<Event<std::string>>& lines) {
+  auto events = pipeline->IngestBatch(lines);
+  const auto tail = pipeline->Finish();
+  events.insert(events.end(), tail.begin(), tail.end());
+  std::vector<DeadLetter> ledger;
+  pipeline->DrainDeadLetters(&ledger);
+  return {std::move(events), std::move(ledger)};
+}
+
+// The UDP front door (one line per datagram) against in-process ingest:
+// the received lines are the corpus's payloads at its arrival times, and
+// the sequential pipeline and every shard count see identical events and
+// dead-letter ledgers. All datagrams come from one peer, so every line
+// carries one source id; TestConfig leaves `fragment_group_by_source` off,
+// so the corpus's receiver ids do not enter the decode.
+TEST(NetEquivalenceTest, UdpDatagramsMatchInProcessIngest) {
+  ScenarioOutput scenario = MakeScenario(7301);
+  GarbleSomeLines(&scenario.nmea);
+  const PipelineConfig pc = TestConfig();
+  ASSERT_FALSE(pc.fragment_group_by_source);
+  const auto received = ReplayOverUdp(scenario.nmea);
+  ASSERT_EQ(received.size(), scenario.nmea.size());
+  for (size_t i = 0; i < received.size(); ++i) {
+    EXPECT_EQ(received[i].payload, scenario.nmea[i].payload) << "index " << i;
+    EXPECT_EQ(received[i].ingest_time, scenario.nmea[i].ingest_time)
+        << "index " << i;
+  }
+
+  MaritimePipeline in_process(pc, &SharedWorld().zones(), nullptr, nullptr,
+                              nullptr);
+  MaritimePipeline via_net(pc, &SharedWorld().zones(), nullptr, nullptr,
+                           nullptr);
+  const auto [ref_events, ref_ledger] = IngestAll(&in_process, scenario.nmea);
+  const auto [net_events, net_ledger] = IngestAll(&via_net, received);
+  ASSERT_GT(ref_events.size(), 0u);
+  ASSERT_GT(ref_ledger.size(), 0u)
+      << "imperfect-reception corpus should reject some lines";
+  ExpectIdenticalEvents(ref_events, net_events);
+  ExpectIdenticalLedgers(ref_ledger, net_ledger);
+
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "shards " << shards);
+    ShardedPipeline::Options opts;
+    opts.num_shards = shards;
+    ShardedPipeline shard_in_process(pc, opts, &SharedWorld().zones(),
+                                     nullptr, nullptr, nullptr);
+    ShardedPipeline shard_via_net(pc, opts, &SharedWorld().zones(), nullptr,
+                                  nullptr, nullptr);
+    const auto [shard_events, shard_ledger] =
+        IngestAll(&shard_in_process, scenario.nmea);
+    const auto [shard_net_events, shard_net_ledger] =
+        IngestAll(&shard_via_net, received);
+    ASSERT_GT(shard_events.size(), 0u);
+    ExpectIdenticalEvents(shard_events, shard_net_events);
+    ExpectIdenticalLedgers(shard_ledger, shard_net_ledger);
   }
 }
 

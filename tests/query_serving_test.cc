@@ -150,9 +150,7 @@ TEST(QueryServingTest, SequentialVsShardedByteIdentical) {
                               nullptr, nullptr);
       sharded.Run(scenario.nmea);
 
-      QueryEngine::Options qopts;
-      qopts.num_workers = num_shards > 1 ? 2 : 0;
-      QueryEngine engine(sharded.archive_view(), qopts);
+      QueryEngine engine(sharded.archive_view());
       for (size_t i = 0; i < battery.size(); ++i) {
         const QueryResult seq = reference.Execute(battery[i]);
         const QueryResult shd = engine.Execute(battery[i]);
@@ -215,9 +213,7 @@ TEST(QueryServingTest, ConcurrentReadersDuringLiveIngest) {
   opts.num_shards = 4;
   ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), nullptr, nullptr,
                           nullptr);
-  QueryEngine::Options qopts;
-  qopts.num_workers = 2;  // MPMC fan-out hop under reader contention
-  QueryEngine engine(sharded.archive_view(), qopts);
+  QueryEngine engine(sharded.archive_view());
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> queries{0};
@@ -253,8 +249,6 @@ TEST(QueryServingTest, ConcurrentReadersDuringLiveIngest) {
 
   EXPECT_GT(queries.load(), 0u);
   EXPECT_EQ(RowBytes(engine.Execute(QuerySpec{}).rows), expected);
-  // The fan-out hop actually carried tasks.
-  EXPECT_GT(engine.hop_stats().pushed, 0u);
   // The readers overlapped segment merges, and the final comparison ran
   // over multi-segment partitions.
   EXPECT_GT(sharded.metrics().archive.segment_merges, 0u);

@@ -140,7 +140,10 @@ TEST(ShardedPipelineTest, ManyShardsProduceSameEventMultiset) {
 }
 
 // Hop conservation at the post-Finish quiescent point: every command pushed
-// to a shard was popped, and pops were accounted to batch buckets.
+// to a shard was popped, and pops were accounted to batch buckets. The hop
+// is window-granular — one task per shard per window cut, plus `Finish`'s
+// open-window task (when it holds lines) and its flush task — and the
+// in-flight bound means a push never waits for room.
 TEST(ShardedPipelineTest, HopCountersAreConserved) {
   const ScenarioOutput scenario = MakeScenario(903, /*perfect_reception=*/false);
   const PipelineConfig pc = TestConfig();
@@ -150,9 +153,23 @@ TEST(ShardedPipelineTest, HopCountersAreConserved) {
                            nullptr, nullptr);
   ASSERT_GT(pipeline.Run(scenario.nmea).size(), 0u);
 
+  uint64_t cuts = 0;
+  size_t open_lines = 0;
+  Timestamp first_ingest = kInvalidTimestamp;
+  for (const Event<std::string>& line : scenario.nmea) {
+    if (open_lines == 0) first_ingest = line.ingest_time;
+    if (WindowMustClose(pc, ++open_lines, first_ingest, line.ingest_time)) {
+      ++cuts;
+      open_lines = 0;
+    }
+  }
+  ASSERT_GT(cuts, 0u);
+  const uint64_t tasks_per_shard = cuts + (open_lines > 0 ? 2 : 1);
+
   const QueueHopStats& hop = pipeline.metrics().shard_hop;
-  EXPECT_GT(hop.pushed, 0u);
+  EXPECT_EQ(hop.pushed, opts.num_shards * tasks_per_shard);
   EXPECT_EQ(hop.pushed, hop.popped);
+  EXPECT_EQ(hop.push_waits, 0u);
   EXPECT_GT(hop.batches(), 0u);
   EXPECT_GT(hop.depth_high_water, 0u);
 }

@@ -14,11 +14,6 @@ Four gates:
   baselines that predate the axis expose a single unsuffixed
   BM_DecodeMicro entry, which is accepted as a fallback so the gate
   stays comparable across the transition.
-* BM_QueueHop items_per_s, lock-free arm (spsc:1) — the SPSC ring
-  stage-to-stage hand-off. Canary for a lock, syscall, or unconditional
-  wake-up sneaking into the push/pop fast path. Baselines recorded
-  before the queue-hop bench existed simply skip this gate with a
-  notice.
 * BM_QueryServing queries_per_s, single-reader finished-archive arm
   (readers:1/live:0) — the historical serving tier's fan-out/scan/merge
   path. Canary for index pruning breaking (every query degenerating to
@@ -68,23 +63,6 @@ def decode_lines_per_s(benchmarks):
             return float(bench["lines_per_s"])
         if "packed:0" not in name and fallback is None:
             fallback = float(bench["lines_per_s"])
-    return fallback
-
-
-def queue_hop_items_per_s(benchmarks):
-    # Prefer the singleton-batch arm (the worst case for hand-off
-    # overhead); fall back to any spsc:1 arm if the batch axis changes.
-    fallback = None
-    for bench in benchmarks:
-        name = bench.get("name", "")
-        if not name.startswith("BM_QueueHop") or "items_per_s" not in bench:
-            continue
-        if "spsc:1" not in name:
-            continue
-        if "batch:1/" in name or name.endswith("batch:1"):
-            return float(bench["items_per_s"])
-        if fallback is None:
-            fallback = float(bench["items_per_s"])
     return fallback
 
 
@@ -139,7 +117,6 @@ def net_ingest_lines_per_s(benchmarks):
 
 GATES = [
     ("decode microbench", decode_lines_per_s, "lines/s"),
-    ("queue hop (spsc)", queue_hop_items_per_s, "items/s"),
     ("query serving", query_serving_queries_per_s, "queries/s"),
     ("anomaly stage", anomaly_stage_detectors_per_s, "detections/s"),
     ("net ingest", net_ingest_lines_per_s, "lines/s"),
