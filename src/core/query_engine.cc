@@ -121,11 +121,16 @@ void QueryEngine::ScanPartition(const ShardArchive::PartitionSnapshot& snapshot,
   stats->blocks_total = snapshot.block_count;
 
   // Per segment: interval-tree stab for the time range (skipped when the
-  // range covers the whole segment: every block overlaps it), intersected
-  // with the R-tree hit set when a region filter is present. Entry ids are
-  // block indexes within the segment, so sorted sets intersect directly.
+  // range misses the segment's span, which skips the segment, or covers
+  // it, which takes every block), intersected with the R-tree hit set when
+  // a region filter is present. Entry ids are block indexes within the
+  // segment, so sorted sets intersect directly.
   std::vector<TrajectoryPoint> scratch;
   for (const auto& segment : snapshot.segments) {
+    if (segment->t1 < spec.t0 || segment->t0 > spec.t1) {
+      stats->blocks_skipped_time += segment->blocks.size();
+      continue;
+    }
     std::vector<uint64_t> candidates;
     if (spec.t0 <= segment->t0 && segment->t1 <= spec.t1) {
       candidates.resize(segment->blocks.size());

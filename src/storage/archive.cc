@@ -149,6 +149,10 @@ Status ParseBlockValue(std::string_view value, uint32_t* count,
 
 ShardArchive::ShardArchive(const ArchiveOptions& options, std::string directory)
     : options_(options), directory_(std::move(directory)) {
+  snapshot_ = std::make_shared<const PartitionSnapshot>();
+  // A volatile archive serves from its segments alone: no store, no
+  // memtable, no compactor thread.
+  if (directory_.empty()) return;
   LsmStore::Options lsm_options;
   lsm_options.memtable_bytes_limit = options_.memtable_bytes_limit;
   lsm_options.max_runs = options_.max_runs;
@@ -156,15 +160,11 @@ ShardArchive::ShardArchive(const ArchiveOptions& options, std::string directory)
   lsm_options.wal_sync = options_.wal_sync;
   lsm_options.directory = directory_;
   auto opened = LsmStore::Open(lsm_options);
-  if (!opened.ok()) {
-    // Unwritable directory: degrade to a volatile archive rather than
-    // poisoning the ingest path. Durability is lost, serving still works.
-    lsm_options.directory.clear();
-    opened = LsmStore::Open(lsm_options);
-  }
+  // Unwritable directory: degrade to a volatile archive rather than
+  // poisoning the ingest path. Durability is lost, serving still works.
+  if (!opened.ok()) return;
   lsm_ = std::move(opened).ValueOrDie();
-  snapshot_ = std::make_shared<const PartitionSnapshot>();
-  if (options_.recover_on_open && !directory_.empty()) RecoverFromLsm();
+  if (options_.recover_on_open) RecoverFromLsm();
 }
 
 void ShardArchive::RecoverFromLsm() {
@@ -282,10 +282,13 @@ Status ShardArchive::CloseEpoch() {
   slots_.Clear();
   staged_.clear();
 
-  // Seal the epoch, then merge while the older of the two newest segments
-  // is under twice the newer: sizes at least double towards the oldest.
+  // Index the epoch as a new segment, then merge while the older of the
+  // two newest segments is unsealed and under twice the newer: unsealed
+  // sizes at least double towards the oldest, and a segment of
+  // kSealBlocks or more is never rebuilt.
   segments_.push_back(MakeSegment(std::move(fresh)));
   while (segments_.size() >= 2 &&
+         segments_[segments_.size() - 2]->blocks.size() < kSealBlocks &&
          segments_[segments_.size() - 2]->blocks.size() <
              2 * segments_.back()->blocks.size()) {
     const Segment& newer = *segments_.back();
@@ -306,7 +309,9 @@ Status ShardArchive::CloseEpoch() {
 
 Status ShardArchive::LoadVesselRange(uint32_t mmsi, Timestamp t0, Timestamp t1,
                                      std::vector<TrajectoryPoint>* out) const {
-  if (lsm_ == nullptr) return Status::OK();
+  if (lsm_ == nullptr) {
+    return Status::NotFound("archive has no durable store");
+  }
   // Scan the vessel's full key range (a block starting before t0 can still
   // overlap it) — both bounds share the MMSI prefix, so the per-run prefix
   // Bloom filter prunes runs without this vessel.

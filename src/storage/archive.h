@@ -2,8 +2,8 @@
 #define MARLIN_STORAGE_ARCHIVE_H_
 
 /// \file archive.h
-/// \brief Per-shard historical archive: PackedBits position blocks, LSM
-/// durability, secondary indexes, and epoch-published read snapshots.
+/// \brief Per-shard historical archive: PackedBits position blocks, optional
+/// LSM durability, secondary indexes, and epoch-published read snapshots.
 ///
 /// This is the storage half of the historical serving tier (ROADMAP
 /// direction 3). Each `PipelineShardCore` owns one `ShardArchive` for its
@@ -17,25 +17,30 @@
 ///   * `CloseEpoch()` runs at every pipeline window close. The staged
 ///     points are cut into one *position block* per (vessel, window) —
 ///     count, base time, then delta-time / scaled-int coordinate / float
-///     kinematics columns packed MSB-first into `PackedBits` words (the
-///     PR 5 follow-on: ≤ 2 shift/mask ops per field on decode) — appended
-///     to the block log, written to the shard's `LsmStore` under the
-///     archival `[mmsi:4][first_t:8]` key, and published to readers.
+///     kinematics columns packed MSB-first into `PackedBits` words (≤ 2
+///     shift/mask ops per field on decode) — written to the shard's
+///     `LsmStore` under the archival `[mmsi:4][first_t:8]` key when the
+///     archive is durable, and published to readers. A volatile archive
+///     (empty directory) has no store: its segments are the only copy.
 ///
 /// Window boundaries are fixed by the input stream (`WindowMustClose`), so
 /// every pipeline arrangement cuts byte-identical blocks — the equivalence
 /// proof leans on this.
 ///
-/// Index maintenance is O(new) per window close: the published state is a
-/// short list of sealed, immutable *segments*, each holding its blocks (in
-/// epoch order) plus its own static STR `RTree` and centered
-/// `IntervalIndex` (entry id = index into the segment). A close seals its
-/// epoch's blocks into one new segment, then merges the two newest segments
-/// while the older holds fewer than twice the blocks of the newer. Segment
-/// sizes therefore at least double from newest to oldest, so there are at
-/// most bit_width(blocks) segments, and each block is re-indexed
-/// O(log blocks) times over its life (the logarithmic method). There is no
-/// unindexed tail and no tunable: every published block is indexed.
+/// Index maintenance is bounded per window close: the published state is a
+/// list of immutable *segments*, each holding its blocks (in epoch order)
+/// plus its own static STR `RTree` and centered `IntervalIndex` (entry id =
+/// index into the segment). A close indexes its epoch's blocks as one new
+/// segment, then merges the two newest segments while the older holds
+/// fewer than twice the blocks of the newer and fewer than `kSealBlocks`.
+/// A segment that reaches `kSealBlocks` is *sealed*: it is never rebuilt,
+/// and a close re-indexes fewer than 2 × `kSealBlocks` older blocks
+/// whatever the history. The sealed segments form the oldest prefix of the
+/// list (one per ~1–2 × `kSealBlocks` blocks); behind them, the open tail's
+/// sizes at least double from newest to oldest, so it holds at most
+/// bit_width(kSealBlocks) + 1 segments (the logarithmic method, capped).
+/// There is no unindexed tail and no tunable: every published block is
+/// indexed, and a query skips a segment whose time span misses its range.
 ///
 /// Read path (any thread): `snapshot()` hands out a shared_ptr to an
 /// immutable `PartitionSnapshot` — epoch-style handoff, so N concurrent
@@ -47,8 +52,7 @@
 /// publish waits at most one refcount bump. Segments are shared between
 /// consecutive snapshots (shared_ptr) — a snapshot pins exactly the
 /// segments it was published with, even after the writer merges them away —
-/// so publishing costs O(log blocks) pointer copies, independent of how
-/// much history the archive holds.
+/// so publishing costs one pointer copy per segment.
 
 #include <memory>
 #include <mutex>
@@ -75,14 +79,14 @@ struct ArchiveOptions {
   /// pre-serving-tier behavior (no staging, no snapshots).
   bool enabled = false;
   /// Root directory for the per-shard LSM stores (shard i appends
-  /// "/shard_<i>"); empty = volatile in-memory archives.
+  /// "/shard_<i>"); empty = volatile in-memory archives with no store.
   std::string directory;
-  /// Per-shard LSM memtable flush threshold.
+  /// Per-shard LSM memtable flush threshold (durable archives only).
   size_t memtable_bytes_limit = 4 * 1024 * 1024;
-  /// Per-shard LSM run-count compaction trigger.
+  /// Per-shard LSM run-count compaction trigger (durable archives only).
   int max_runs = 8;
   /// Compact on the store's background thread (default) instead of inline
-  /// on the shard worker.
+  /// on the shard worker (durable archives only).
   bool background_compaction = true;
   /// On open, scan the LSM store and rebuild the in-memory segment /
   /// indexes / snapshot from the durable blocks, so a restarted shard serves
@@ -168,10 +172,10 @@ struct ArchiveStats {
 /// \brief One shard partition of the historical archive.
 class ShardArchive {
  public:
-  /// \brief Sealed, immutable run of blocks with its own indexes (entry id
-  /// = index into `blocks`) and its time span, so a query whose range
-  /// covers the whole segment takes every block without stabbing the
-  /// interval index.
+  /// \brief Immutable run of blocks with its own indexes (entry id =
+  /// index into `blocks`) and its time span, so a query whose range covers
+  /// the whole segment takes every block without stabbing the interval
+  /// index, and one whose range misses it skips it untouched.
   struct Segment {
     /// Epoch order (within an epoch: ascending MMSI).
     std::vector<std::shared_ptr<const PositionBlock>> blocks;
@@ -190,8 +194,12 @@ class ShardArchive {
     size_t block_count = 0;
   };
 
+  /// \brief A segment that holds this many blocks is sealed: no later close
+  /// merges it, so a close's re-indexing work is O(kSealBlocks).
+  static constexpr size_t kSealBlocks = 1024;
+
   /// \brief `directory` is this shard's own LSM directory (already
-  /// suffixed); empty = volatile.
+  /// suffixed); empty = volatile, with no LSM store.
   ShardArchive(const ArchiveOptions& options, std::string directory);
 
   ShardArchive(const ShardArchive&) = delete;
@@ -202,10 +210,11 @@ class ShardArchive {
   /// map are pooled across epochs.
   void Stage(uint32_t mmsi, const TrajectoryPoint& point);
 
-  /// \brief Cuts the staged points into blocks, persists them, seals them
-  /// into a new segment (merging per the doubling rule), and publishes a
-  /// new snapshot (writer thread; called at pipeline window close). A close
-  /// with nothing staged publishes nothing and costs O(1).
+  /// \brief Cuts the staged points into blocks, persists them (durable
+  /// archives), indexes them as a new segment (merging unsealed segments
+  /// per the doubling rule), and publishes a new snapshot (writer thread;
+  /// called at pipeline window close). A close with nothing staged
+  /// publishes nothing and costs O(1).
   Status CloseEpoch();
 
   /// \brief Current read snapshot (any thread; the critical section is one
@@ -218,7 +227,9 @@ class ShardArchive {
 
   /// \brief Re-reads one vessel's blocks overlapping [t0, t1] from the LSM
   /// store (durability path, exercises the prefix Bloom filters). Decoded
-  /// points are appended in ascending time order.
+  /// points are appended in ascending time order. Returns NotFound when
+  /// the archive has no durable store (volatile, or its directory could
+  /// not be opened).
   Status LoadVesselRange(uint32_t mmsi, Timestamp t0, Timestamp t1,
                          std::vector<TrajectoryPoint>* out) const;
 
@@ -226,6 +237,7 @@ class ShardArchive {
   /// or any thread while the writer is quiescent).
   ArchiveStats stats() const;
 
+  /// Null when the archive has no durable store.
   LsmStore* lsm() { return lsm_.get(); }
   const std::string& directory() const { return directory_; }
 
@@ -239,7 +251,9 @@ class ShardArchive {
 
   ArchiveOptions options_;
   std::string directory_;
-  std::unique_ptr<LsmStore> lsm_;  ///< null only if Open failed (volatile fallback)
+  /// Null for a volatile archive, and when the directory could not be
+  /// opened (the archive then serves from memory alone).
+  std::unique_ptr<LsmStore> lsm_;
 
   // Staging pool (writer thread only). `slots_` maps a vessel to its pool
   // index for the current epoch; `staged_` lists occupied pool slots in

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <span>
@@ -280,17 +281,21 @@ std::vector<const PositionBlock*> SnapshotBlocks(
   return out;
 }
 
-TEST(ShardArchiveTest, SegmentsStayLogarithmicAndUnmergedOnesAreShared) {
+TEST(ShardArchiveTest, SegmentsSealAtCapAndUnmergedOnesAreShared) {
   ArchiveOptions opts;
   opts.enabled = true;
   ShardArchive archive(opts, "");
+  constexpr size_t kSeal = ShardArchive::kSealBlocks;
 
-  // Varying blocks per epoch (1..4 vessels) so merges cascade irregularly.
-  constexpr int kEpochs = 2000;
+  // Varying blocks per epoch (1..4 vessels) so merges cascade irregularly;
+  // ~8,500 blocks in all, enough to seal several segments.
+  constexpr int kEpochs = 3400;
   std::vector<const PositionBlock*> expected;  // every block, epoch order
   std::shared_ptr<const ShardArchive::PartitionSnapshot> prev =
       archive.snapshot();
+  std::vector<const ShardArchive::Segment*> sealed;  // oldest first
   uint64_t merges_seen = 0;
+  size_t max_reindexed = 0;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     const uint32_t vessels = 1 + static_cast<uint32_t>((epoch * 7) % 4);
     for (uint32_t v = 0; v < vessels; ++v) {
@@ -313,14 +318,29 @@ TEST(ShardArchiveTest, SegmentsStayLogarithmicAndUnmergedOnesAreShared) {
     }
     expected = blocks;
     ASSERT_EQ(snap->block_count, blocks.size());
-
-    // Logarithmic segment count; every segment fully indexed.
-    ASSERT_LE(snap->segments.size(),
-              static_cast<size_t>(std::bit_width(snap->block_count)));
     for (const auto& segment : snap->segments) {
       ASSERT_EQ(segment->rtree.size(), segment->blocks.size());
       ASSERT_EQ(segment->intervals.size(), segment->blocks.size());
     }
+
+    // A segment that reached kSealBlocks is never rebuilt: the very same
+    // object sits at its place in every later snapshot. Sealed segments
+    // form the oldest prefix.
+    ASSERT_GE(snap->segments.size(), sealed.size());
+    for (size_t i = 0; i < sealed.size(); ++i) {
+      ASSERT_EQ(snap->segments[i].get(), sealed[i])
+          << "epoch " << epoch << " sealed segment " << i;
+    }
+    for (size_t i = sealed.size(); i < snap->segments.size(); ++i) {
+      if (snap->segments[i]->blocks.size() < kSeal) continue;
+      ASSERT_EQ(i, sealed.size()) << "epoch " << epoch;
+      sealed.push_back(snap->segments[i].get());
+    }
+    // The open tail behind them stays logarithmic in the cap, not in the
+    // history.
+    ASSERT_LE(snap->segments.size() - sealed.size(),
+              static_cast<size_t>(std::bit_width(kSeal)) + 1)
+        << "epoch " << epoch;
 
     // O(new) publish: the segments this close did not merge are the very
     // objects the previous snapshot held. Merges only touch the newest
@@ -333,117 +353,188 @@ TEST(ShardArchiveTest, SegmentsStayLogarithmicAndUnmergedOnesAreShared) {
       ASSERT_EQ(snap->segments[i].get(), prev->segments[i].get())
           << "epoch " << epoch << " segment " << i;
     }
+
+    // Bounded close: the older blocks this close re-indexed (every segment
+    // the previous snapshot did not hold, less this epoch's own blocks)
+    // number O(kSealBlocks), whatever the history.
+    size_t rebuilt = 0;
+    for (const auto& segment : snap->segments) {
+      if (std::find(prev->segments.begin(), prev->segments.end(), segment) ==
+          prev->segments.end()) {
+        rebuilt += segment->blocks.size();
+      }
+    }
+    ASSERT_LE(rebuilt - vessels, 3 * kSeal) << "epoch " << epoch;
+    max_reindexed = std::max(max_reindexed, rebuilt - vessels);
     merges_seen = merges;
     prev = snap;
   }
+  EXPECT_GE(expected.size(), 8000u);
+  EXPECT_GE(sealed.size(), 4u);
   EXPECT_GT(merges_seen, 0u);
+  EXPECT_GE(max_reindexed, kSeal / 2);  // the cascade did run deep
+}
+
+TEST(ShardArchiveTest, VolatileArchiveKeepsNoStore) {
+  ArchiveOptions opts;
+  opts.enabled = true;
+  // Volatile by request, and durable by request on a directory that cannot
+  // be created (its parent is a regular file): both serve from memory with
+  // no store, and say so on a durable read.
+  const std::string file = ::testing::TempDir() + "/marlin_archive_not_a_dir";
+  std::filesystem::remove_all(file);
+  { std::ofstream(file) << "x"; }
+  for (const std::string& dir : {std::string(), file + "/shard_0"}) {
+    SCOPED_TRACE("directory '" + dir + "'");
+    ShardArchive archive(opts, dir);
+    EXPECT_EQ(archive.lsm(), nullptr);
+    archive.Stage(500, Point(1000, 10.0, 20.0));
+    archive.Stage(500, Point(2000, 10.1, 20.1));
+    ASSERT_TRUE(archive.CloseEpoch().ok());
+    EXPECT_EQ(archive.snapshot()->block_count, 1u);
+    EXPECT_EQ(archive.stats().put_failures, 0u);
+
+    std::vector<TrajectoryPoint> points;
+    const Status status =
+        archive.LoadVesselRange(500, 0, kMaxTimestamp, &points);
+    EXPECT_TRUE(status.IsNotFound()) << status.ToString();
+    EXPECT_TRUE(points.empty());
+  }
+  std::filesystem::remove_all(file);
 }
 
 TEST(ShardArchiveTest, SegmentedQueriesMatchBruteForceOverAllBlocks) {
-  ArchiveOptions opts;
-  opts.enabled = true;
-  ShardArchive archive(opts, "");
-  for (int epoch = 0; epoch < 300; ++epoch) {
-    for (uint32_t v = 0; v < 1 + static_cast<uint32_t>(epoch % 3); ++v) {
-      const Timestamp base = static_cast<Timestamp>(epoch) * 60000;
-      const double lat = 10.0 + (epoch % 17) * 0.05 + v * 0.3;
-      const double lon = 20.0 + (epoch % 11) * 0.07 + v * 0.2;
-      archive.Stage(200 + v, Point(base, lat, lon));
-      archive.Stage(200 + v, Point(base + 20000, lat + 0.02, lon + 0.01));
+  // A short input that never seals, and a long one (~3,200 blocks) that
+  // seals at least two segments.
+  for (const int epochs : {300, 1600}) {
+    SCOPED_TRACE(std::to_string(epochs) + " epochs");
+    ArchiveOptions opts;
+    opts.enabled = true;
+    ShardArchive archive(opts, "");
+    for (int epoch = 0; epoch < epochs; ++epoch) {
+      for (uint32_t v = 0; v < 1 + static_cast<uint32_t>(epoch % 3); ++v) {
+        const Timestamp base = static_cast<Timestamp>(epoch) * 60000;
+        const double lat = 10.0 + (epoch % 17) * 0.05 + v * 0.3;
+        const double lon = 20.0 + (epoch % 11) * 0.07 + v * 0.2;
+        archive.Stage(200 + v, Point(base, lat, lon));
+        archive.Stage(200 + v, Point(base + 20000, lat + 0.02, lon + 0.01));
+      }
+      ASSERT_TRUE(archive.CloseEpoch().ok());
     }
-    ASSERT_TRUE(archive.CloseEpoch().ok());
-  }
-  const auto snap = archive.snapshot();
-  ASSERT_GT(snap->segments.size(), 1u);
-
-  QueryEngine engine({&archive});
-  const QueryResult full = engine.Execute(QuerySpec{});
-  // The four raw-row shapes after "everything": time range, region, vessel
-  // set, and all three combined.
-  const std::vector<QuerySpec> all = SpecBattery(full);
-  std::vector<QuerySpec> battery;
-  for (size_t i = 1; i < all.size(); ++i) {
-    if (all[i].resample_ms == 0) battery.push_back(all[i]);
-  }
-  ASSERT_EQ(battery.size(), 4u);
-  // A time range from the middle of the oldest segment to the middle of the
-  // newest: it covers the segments between whole (every block taken
-  // without an interval stab) and cuts the two ends part way. Spans come
-  // from the blocks, and each segment's own span must match them.
-  ASSERT_GE(snap->segments.size(), 3u);
-  std::vector<std::pair<Timestamp, Timestamp>> spans;
-  for (const auto& segment : snap->segments) {
-    Timestamp lo = kMaxTimestamp, hi = kInvalidTimestamp;
-    for (const auto& block : segment->blocks) {
-      lo = std::min(lo, block->t0);
-      hi = std::max(hi, block->t1);
+    const auto snap = archive.snapshot();
+    ASSERT_GT(snap->segments.size(), 1u);
+    size_t sealed = 0;
+    for (const auto& segment : snap->segments) {
+      sealed += segment->blocks.size() >= ShardArchive::kSealBlocks;
     }
-    ASSERT_LT(lo, hi);
-    EXPECT_EQ(segment->t0, lo);
-    EXPECT_EQ(segment->t1, hi);
-    spans.emplace_back(lo, hi);
-  }
-  QuerySpec cut;
-  cut.t0 = (spans.front().first + spans.front().second) / 2;
-  cut.t1 = (spans.back().first + spans.back().second) / 2;
-  size_t whole = 0;
-  for (const auto& [lo, hi] : spans) whole += cut.t0 <= lo && hi <= cut.t1;
-  EXPECT_EQ(whole, spans.size() - 2);
-  battery.push_back(cut);
+    // The long input crosses at least two seals and keeps an open tail, so
+    // every query below spans sealed and open segments together.
+    if (epochs > 1000) {
+      ASSERT_GE(snap->block_count, 2500u);
+      ASSERT_GE(sealed, 2u);
+      ASSERT_LT(sealed, snap->segments.size());
+    } else {
+      ASSERT_EQ(sealed, 0u);
+    }
 
-  for (size_t i = 0; i < battery.size(); ++i) {
-    const QuerySpec& spec = battery[i];
-    const QueryResult got = engine.Execute(spec);
+    QueryEngine engine({&archive});
+    const QueryResult full = engine.Execute(QuerySpec{});
+    // The four raw-row shapes after "everything": time range, region, vessel
+    // set, and all three combined.
+    const std::vector<QuerySpec> all = SpecBattery(full);
+    std::vector<QuerySpec> battery;
+    for (size_t i = 1; i < all.size(); ++i) {
+      if (all[i].resample_ms == 0) battery.push_back(all[i]);
+    }
+    ASSERT_EQ(battery.size(), 4u);
+    // A time range from the middle of the oldest segment to the middle of the
+    // newest: it covers the segments between whole (every block taken
+    // without an interval stab) and cuts the two ends part way. Spans come
+    // from the blocks, and each segment's own span must match them.
+    ASSERT_GE(snap->segments.size(), 3u);
+    std::vector<std::pair<Timestamp, Timestamp>> spans;
+    for (const auto& segment : snap->segments) {
+      Timestamp lo = kMaxTimestamp, hi = kInvalidTimestamp;
+      for (const auto& block : segment->blocks) {
+        lo = std::min(lo, block->t0);
+        hi = std::max(hi, block->t1);
+      }
+      ASSERT_LT(lo, hi);
+      EXPECT_EQ(segment->t0, lo);
+      EXPECT_EQ(segment->t1, hi);
+      spans.emplace_back(lo, hi);
+    }
+    QuerySpec cut;
+    cut.t0 = (spans.front().first + spans.front().second) / 2;
+    cut.t1 = (spans.back().first + spans.back().second) / 2;
+    size_t whole = 0;
+    for (const auto& [lo, hi] : spans) whole += cut.t0 <= lo && hi <= cut.t1;
+    EXPECT_EQ(whole, spans.size() - 2);
+    battery.push_back(cut);
+    // A range inside the middle segment: every other segment misses it and
+    // is skipped whole.
+    const auto& [mid_lo, mid_hi] = spans[spans.size() / 2];
+    QuerySpec inside;
+    inside.t0 = mid_lo + (mid_hi - mid_lo) / 4;
+    inside.t1 = mid_hi - (mid_hi - mid_lo) / 4;
+    battery.push_back(inside);
 
-    // Brute force: the same block-level pruning and row filter, applied to
-    // every block with no index.
-    QueryStats want;
-    std::vector<QueryRow> rows;
-    for (const PositionBlock* block : SnapshotBlocks(*snap)) {
-      if (block->t1 < spec.t0 || block->t0 > spec.t1) {
-        ++want.blocks_skipped_time;
-        continue;
-      }
-      if (spec.region.has_value() && !spec.region->Intersects(block->bounds)) {
-        ++want.blocks_skipped_region;
-        continue;
-      }
-      if (!spec.vessels.empty() &&
-          std::find(spec.vessels.begin(), spec.vessels.end(), block->mmsi) ==
-              spec.vessels.end()) {
-        ++want.blocks_skipped_vessel;
-        continue;
-      }
-      ++want.blocks_scanned;
-      std::vector<TrajectoryPoint> points;
-      ASSERT_TRUE(DecodePositionBlock(block->data, block->count, block->mmsi,
-                                      block->t0, &points)
-                      .ok());
-      want.points_decoded += points.size();
-      for (const TrajectoryPoint& p : points) {
-        if (p.t < spec.t0 || p.t > spec.t1) continue;
-        if (spec.region.has_value() && !spec.region->Contains(p.position)) {
+    for (size_t i = 0; i < battery.size(); ++i) {
+      const QuerySpec& spec = battery[i];
+      const QueryResult got = engine.Execute(spec);
+
+      // Brute force: the same block-level pruning and row filter, applied to
+      // every block with no index.
+      QueryStats want;
+      std::vector<QueryRow> rows;
+      for (const PositionBlock* block : SnapshotBlocks(*snap)) {
+        if (block->t1 < spec.t0 || block->t0 > spec.t1) {
+          ++want.blocks_skipped_time;
           continue;
         }
-        rows.push_back(
-            QueryRow{p.t, block->mmsi, p.position, p.sog_mps, p.cog_deg});
+        if (spec.region.has_value() &&
+            !spec.region->Intersects(block->bounds)) {
+          ++want.blocks_skipped_region;
+          continue;
+        }
+        if (!spec.vessels.empty() &&
+            std::find(spec.vessels.begin(), spec.vessels.end(), block->mmsi) ==
+                spec.vessels.end()) {
+          ++want.blocks_skipped_vessel;
+          continue;
+        }
+        ++want.blocks_scanned;
+        std::vector<TrajectoryPoint> points;
+        ASSERT_TRUE(DecodePositionBlock(block->data, block->count, block->mmsi,
+                                        block->t0, &points)
+                        .ok());
+        want.points_decoded += points.size();
+        for (const TrajectoryPoint& p : points) {
+          if (p.t < spec.t0 || p.t > spec.t1) continue;
+          if (spec.region.has_value() && !spec.region->Contains(p.position)) {
+            continue;
+          }
+          rows.push_back(
+              QueryRow{p.t, block->mmsi, p.position, p.sog_mps, p.cog_deg});
+        }
       }
-    }
-    std::sort(rows.begin(), rows.end(), [](const QueryRow& a, const QueryRow& b) {
-      return a.t != b.t ? a.t < b.t : a.mmsi < b.mmsi;
-    });
+      std::sort(rows.begin(), rows.end(),
+                [](const QueryRow& a, const QueryRow& b) {
+                  return a.t != b.t ? a.t < b.t : a.mmsi < b.mmsi;
+                });
 
-    EXPECT_EQ(RowBytes(got.rows), RowBytes(rows)) << "spec " << i;
-    EXPECT_EQ(got.stats.blocks_total, snap->block_count) << "spec " << i;
-    EXPECT_EQ(got.stats.blocks_skipped_time, want.blocks_skipped_time)
-        << "spec " << i;
-    EXPECT_EQ(got.stats.blocks_skipped_region, want.blocks_skipped_region)
-        << "spec " << i;
-    EXPECT_EQ(got.stats.blocks_skipped_vessel, want.blocks_skipped_vessel)
-        << "spec " << i;
-    EXPECT_EQ(got.stats.blocks_scanned, want.blocks_scanned) << "spec " << i;
-    EXPECT_EQ(got.stats.points_decoded, want.points_decoded) << "spec " << i;
-    EXPECT_EQ(got.stats.rows, rows.size()) << "spec " << i;
+      EXPECT_EQ(RowBytes(got.rows), RowBytes(rows)) << "spec " << i;
+      EXPECT_EQ(got.stats.blocks_total, snap->block_count) << "spec " << i;
+      EXPECT_EQ(got.stats.blocks_skipped_time, want.blocks_skipped_time)
+          << "spec " << i;
+      EXPECT_EQ(got.stats.blocks_skipped_region, want.blocks_skipped_region)
+          << "spec " << i;
+      EXPECT_EQ(got.stats.blocks_skipped_vessel, want.blocks_skipped_vessel)
+          << "spec " << i;
+      EXPECT_EQ(got.stats.blocks_scanned, want.blocks_scanned) << "spec " << i;
+      EXPECT_EQ(got.stats.points_decoded, want.points_decoded) << "spec " << i;
+      EXPECT_EQ(got.stats.rows, rows.size()) << "spec " << i;
+    }
   }
 }
 
