@@ -91,7 +91,7 @@ int main() {
                 static_cast<unsigned long long>(hop.pop_waits),
                 hop.MeanBatch());
   };
-  std::printf("\nqueue hops (mutex shard queue, lock-free enrichment ring)\n");
+  std::printf("\nqueue hops (mutex queues, batched hand-offs on both)\n");
   print_hop("coord -> shard", m.shard_hop);
   print_hop("shard -> enrichment", m.enrichment_stage.hop);
 

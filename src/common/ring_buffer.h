@@ -2,16 +2,19 @@
 #define MARLIN_COMMON_RING_BUFFER_H_
 
 /// \file ring_buffer.h
-/// \brief Fixed-layout FIFO window for per-vessel sliding state.
+/// \brief Fixed-layout FIFO window for per-vessel sliding state, and the
+/// storage of the inter-stage `BoundedQueue` (stream/queue.h).
 ///
 /// The event rules keep short sliding windows per vessel (loiter window and
 /// its monotonic min/max deques, spoof-jump history). `std::deque`
 /// allocates and frees a chunk every ~64 elements as the window slides; this
 /// ring keeps one power-of-two buffer that only grows, so a steady-state
-/// slide performs zero allocations.
+/// slide performs zero allocations. A popped slot keeps its (moved-from)
+/// element until a push overwrites it.
 
 #include <cassert>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/cache_line.h"
@@ -43,9 +46,9 @@ class alignas(kCacheLineBytes) RingBuffer {
   T& back() { return (*this)[size_ - 1]; }
   const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(const T& value) {
+  void push_back(T value) {
     if (size_ == buf_.size()) Grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
+    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(value);
     ++size_;
   }
 
@@ -70,7 +73,7 @@ class alignas(kCacheLineBytes) RingBuffer {
   void Grow() {
     const size_t new_cap = buf_.empty() ? 8 : buf_.size() * 2;
     std::vector<T> next(new_cap);
-    for (size_t i = 0; i < size_; ++i) next[i] = (*this)[i];
+    for (size_t i = 0; i < size_; ++i) next[i] = std::move((*this)[i]);
     buf_ = std::move(next);
     head_ = 0;
   }

@@ -82,9 +82,9 @@ struct PipelineConfig {
   bool enable_enrichment = true;
   /// Enrichment side-stage input queue depth, per shard. The stage never
   /// blocks ingest: overflow evicts the oldest queued point and counts it
-  /// in `PipelineMetrics::enrichment_stage.queue_dropped`. The worker is
-  /// woken once per window (or at half depth), so the default holds one
-  /// default window's burst (`window_lines`).
+  /// in `PipelineMetrics::enrichment_stage.queue_dropped`. Points reach the
+  /// worker in one batch per window (or per half depth), so the default
+  /// holds one default window's burst (`window_lines`).
   size_t enrichment_queue_depth = 4096;
   /// Capacity of the per-shard enriched drain buffer used when no sink is
   /// registered; overflow evicts the oldest buffered point (counted).

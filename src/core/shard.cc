@@ -43,9 +43,9 @@ PipelineShardCore::PipelineShardCore(const PipelineConfig& config,
                           MARLIN_FAULT_POINT("enrichment.transform");
                           EnrichmentEngine::SourceTimings timings;
                           EnrichedPoint out = enrichment_.Enrich(rp, &timings);
-                          // Per-source attribution (PR 2 follow-on): which
-                          // context join is eating the stage's budget —
-                          // batched so the point pays one stats lock.
+                          // Per-source attribution: which context join is
+                          // eating the stage's budget. Lock-free per point;
+                          // the stage folds it in once per batch.
                           std::pair<std::string_view, uint64_t> attributed[3];
                           size_t n = 0;
                           if (timings.zones_ran) {

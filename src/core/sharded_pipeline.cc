@@ -125,9 +125,9 @@ void ShardedPipeline::ExecuteShardTask(Shard* shard, ShardTask& task) {
     RebuildShardCore(shard);
     replayed = true;
   }
-  // One enrichment doorbell per task: the task's points were published
-  // without waking the stage's worker.
-  shard->core->WakeEnrichment();
+  // One enrichment hand-off per task: the task's points are still in the
+  // stage's producer batch.
+  shard->core->HandOffEnrichment();
   task.done->count_down();
 }
 

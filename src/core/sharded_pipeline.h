@@ -18,8 +18,8 @@
 ///        mutex `BoundedQueue` that carries one task per window (the hop
 ///        is window-granular, so a lock per hand-off costs nothing
 ///        measurable) — each core also feeds an async enrichment
-///        side-stage (own worker + bounded lock-free lossy ring, the only
-///        per-point hop, doorbell rung once per window) whose output
+///        side-stage (own worker + bounded drop-oldest `BoundedQueue`,
+///        points handed off in one batch per window) whose output
 ///        surfaces through SetEnrichedSink / DrainEnriched. Up to
 ///        `kShardQueueCapacity` (4) dispatched windows are in flight while
 ///        the coordinator decodes the next one
@@ -288,8 +288,8 @@ class ShardedPipeline {
   /// one more, so a shard never holds more than this many queued tasks and
   /// pushes never block (`Finish` queues its two tasks with nothing else in
   /// flight). `metrics().shard_hop.push_waits` stays 0 by this contract;
-  /// the hop's `notifies` also reads 0, because a condvar signal is not
-  /// counted.
+  /// `notifies` reads 0 on this hop and on the enrichment hop, because a
+  /// condvar signal is not counted.
   static constexpr size_t kShardQueueCapacity = 4;
 
   void WorkerLoop(Shard* shard);

@@ -2,9 +2,9 @@
 #define MARLIN_STREAM_HOP_STATS_H_
 
 /// \file hop_stats.h
-/// \brief Per-hop queue instrumentation shared by both inter-stage queues:
-/// the mutex `BoundedQueue` (coordinator → shard) and the lock-free
-/// `SpscLossyRing` (shard → enrichment).
+/// \brief Per-hop queue instrumentation shared by both inter-stage hops,
+/// which both run on the mutex `BoundedQueue` (stream/queue.h):
+/// coordinator → shard and shard → enrichment.
 
 #include <algorithm>
 #include <cstddef>
@@ -12,15 +12,14 @@
 
 namespace marlin {
 
-/// \brief Per-hop queue instrumentation, reported identically by the
-/// lock-free ring and the mutex queue. Mergeable across shards.
+/// \brief Per-hop queue instrumentation. Mergeable across shards.
 struct QueueHopStats {
   uint64_t pushed = 0;       ///< items accepted by the hop
   uint64_t popped = 0;       ///< items delivered by the hop
-  uint64_t push_waits = 0;   ///< producer found the hop full (spun/blocked)
-  uint64_t pop_waits = 0;    ///< consumer found the hop empty (spun/blocked)
-  /// Wake-ups actually issued (batched & gated) by the lock-free ring;
-  /// always 0 on a mutex hop, which does not count its condvar signals.
+  uint64_t push_waits = 0;   ///< producer found the hop full (blocked)
+  uint64_t pop_waits = 0;    ///< consumer found the hop empty (blocked)
+  /// Always 0: a mutex hop does not count its condvar signals. Kept only
+  /// because the end-to-end benchmark still reports it.
   uint64_t notifies = 0;
   size_t depth_high_water = 0;  ///< deepest observed backlog
   /// Pop-batch size histogram: how many items each consumer wake-up

@@ -6,11 +6,14 @@
 /// pipeline stages (paper §2.1: in-situ processing must be communication
 /// efficient; a bounded queue is where that pressure becomes visible).
 ///
-/// It carries the coordinator → shard hop, which moves one task per shard
-/// per window: a few thousand hand-offs per pass, so one lock per hand-off
-/// is noise. The only per-item hop (shard → enrichment, ~88x the traffic)
-/// runs on the lock-free `SpscLossyRing` (stream/lossy_ring.h), whose
-/// tests use this queue's `PushEvictOldest` as their reference.
+/// It carries both inter-stage hops, and both are batch-granular: the
+/// coordinator → shard hop moves one task per shard per window, and the
+/// shard → enrichment hop moves the producer's batch of points per window
+/// task (or per half queue depth) in one `PushEvictOldest`. That is a few
+/// thousand hand-offs per pass, so one lock per hand-off is noise. The
+/// items live in a `RingBuffer` that grows to the deepest backlog and then
+/// never allocates: a `std::deque` allocates a block every few enrichment
+/// points, which the worker then frees on another thread.
 ///
 /// Condition variables are always notified *after* the mutex is released:
 /// notifying under the lock makes the woken thread immediately block on
@@ -19,11 +22,11 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "common/ring_buffer.h"
 #include "stream/hop_stats.h"
 
 namespace marlin {
@@ -65,25 +68,29 @@ class BoundedQueue {
     return true;
   }
 
-  /// \brief Lossy push for latency-critical producers: never blocks. When
-  /// the queue is full the oldest queued item is evicted to make room — the
+  /// \brief Lossy batch push for latency-critical producers: never blocks.
+  /// Moves every item of `*items` in, in order, and clears it; each item
+  /// that finds the queue full evicts the oldest queued item first — the
   /// backpressure policy of side-stages that must not stall the hot path.
-  /// `*evicted` receives the number of items discarded (0 or 1). Returns
-  /// false only when the queue is closed (the item is rejected, nothing is
-  /// evicted).
-  bool PushEvictOldest(T item, size_t* evicted) {
+  /// `*evicted` receives the number of items discarded, so the result is
+  /// the same as pushing the items one at a time. Returns false only when
+  /// the queue is closed (the batch is left untouched, nothing is evicted).
+  bool PushEvictOldest(std::vector<T>* items, size_t* evicted) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       *evicted = 0;
       if (closed_) return false;
-      // The emptiness check makes capacity 0 safe (degenerates to a
-      // size-1 always-evict slot rather than popping an empty deque).
-      while (!items_.empty() && items_.size() >= capacity_) {
-        items_.pop_front();
-        ++*evicted;
+      for (T& item : *items) {
+        // The emptiness check makes capacity 0 safe (degenerates to a
+        // size-1 always-evict slot rather than popping an empty ring).
+        if (!items_.empty() && items_.size() >= capacity_) {
+          items_.pop_front();
+          ++*evicted;
+        }
+        PushLocked(std::move(item));
       }
-      PushLocked(std::move(item));
     }
+    items->clear();
     not_empty_.notify_one();
     return true;
   }
@@ -160,8 +167,8 @@ class BoundedQueue {
 
   size_t capacity() const { return capacity_; }
 
-  /// \brief Snapshot of the hop counters, in the ring's format (`notifies`
-  /// stays 0: a condvar signal is not counted as a gated wake-up).
+  /// \brief Snapshot of the hop counters (`notifies` stays 0: a condvar
+  /// signal is not counted).
   QueueHopStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
@@ -188,7 +195,7 @@ class BoundedQueue {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<T> items_;
+  RingBuffer<T> items_;
   bool closed_ = false;
   QueueHopStats stats_;  ///< guarded by mutex_
 };

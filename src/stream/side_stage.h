@@ -11,19 +11,19 @@
 /// registered sink or to a bounded drain buffer. Backpressure is *lossy by
 /// design*: when the transform cannot keep up the *oldest* queued item is
 /// evicted and counted — the producer never blocks and the stage keeps the
-/// freshest data (the input hop is an `SpscLossyRing`, stream/lossy_ring.h).
-/// `Flush` is the end-of-stream barrier: after it returns, every submitted
-/// item has been either delivered or counted as dropped, so
-/// `submitted == processed + queue_dropped` is the completeness invariant.
+/// freshest data. `Flush` is the end-of-stream barrier: after it returns,
+/// every submitted item has been either delivered or counted as dropped,
+/// so `submitted == processed + queue_dropped` is the completeness
+/// invariant.
 ///
-/// Doorbell contract: `Submit` publishes without waking a parked worker;
-/// the ring wakes it itself once half full. The producer rings it with
-/// `Wake` at the end of each burst (the shard core: once per window task),
-/// and `Flush` rings it before it waits, so a burst shorter than half the
-/// ring costs one wake-up, not one per item, and no item waits longer than
-/// its burst.
+/// Hand-off: `Submit` appends to a batch only the producer touches — no
+/// lock, no atomic. The batch moves to the worker's `BoundedQueue` under
+/// one lock when it reaches half the queue depth, when the producer ends a
+/// burst with `HandOff` (the shard core: once per window task), and in
+/// `Flush`, so a burst costs one hand-off per half depth, not one per
+/// item, and no item waits longer than its burst.
 ///
-/// Ordering: the ring is FIFO and the worker is single, so delivery
+/// Ordering: the queue is FIFO and the worker is single, so delivery
 /// order is submission order (minus evicted items — drops thin the stream
 /// but never reorder it). A synchronous mode (`Options::async = false`)
 /// runs the transform inline on the producer thread with identical
@@ -35,12 +35,12 @@
 /// completeness invariant generalises to
 /// `submitted == processed + queue_dropped + transform_failed`.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -51,7 +51,7 @@
 #include <utility>
 #include <vector>
 
-#include "stream/lossy_ring.h"
+#include "stream/queue.h"
 #include "stream/rate.h"
 
 namespace marlin {
@@ -92,8 +92,8 @@ struct SideStageStats {
   /// Per-source attribution, filled by the transform through
   /// `AsyncSideStage::AttributeSource`. Empty when the transform does not
   /// attribute.
-  /// Transparent comparator: the per-point attribution looks sources up
-  /// by `std::string_view` without building a key.
+  /// Transparent comparator: the stage's per-point tally (same map type)
+  /// looks sources up by `std::string_view` without building a key.
   std::map<std::string, SourceLatency, std::less<>> source_latency;
 
   uint64_t dropped() const { return queue_dropped + output_dropped; }
@@ -121,13 +121,12 @@ class AsyncSideStage {
     /// Run the transform on a dedicated worker (true) or inline on the
     /// producer thread (false — the sequential reference mode).
     bool async = true;
-    /// Input ring depth; overflow evicts the oldest queued item.
+    /// Input queue depth, in items; overflow evicts the oldest queued item.
+    /// The producer hands off a batch once it holds half this many.
     size_t queue_depth = 1024;
     /// Drain-buffer capacity when no sink is registered; overflow evicts
     /// the oldest buffered output.
     size_t output_capacity = 8192;
-    /// Worker pops up to this many items per ring acquisition.
-    size_t max_batch = 64;
   };
 
   using Transform = std::function<Out(const In&)>;
@@ -136,11 +135,13 @@ class AsyncSideStage {
   AsyncSideStage(const Options& options, Transform transform)
       : options_(options),
         transform_(std::move(transform)),
+        hand_off_at_(std::max<size_t>(1, options.queue_depth / 2)),
         channel_(std::max<size_t>(1, options.queue_depth)) {
     if (options_.async) worker_ = std::thread([this] { WorkerLoop(); });
   }
 
   ~AsyncSideStage() {
+    HandOff();
     channel_.Close();  // worker drains the remaining items, then exits
     if (worker_.joinable()) worker_.join();
   }
@@ -152,18 +153,10 @@ class AsyncSideStage {
   /// first Submit; in async mode it runs on the worker thread.
   void SetSink(Sink sink) { sink_ = std::move(sink); }
 
-  /// \brief Hands one item to the stage. Never blocks: a full channel
-  /// evicts an item (counted in `queue_dropped`). Single producer. Does not
-  /// wake a parked worker below half the ring depth: end the burst with
-  /// `Wake` (or `Flush`).
-  /// Counter note: in async mode `submitted` is a producer-owned relaxed
-  /// atomic, bumped *before* the push, and the stats lock is taken only
-  /// when the push evicted (or was rejected). The ring's release/acquire
-  /// hand-off and the stats lock order each bump before any count of that
-  /// item, so a `stats()` snapshot never reads fewer `submitted` than
-  /// `processed + queue_dropped + transform_failed`, never reads a smaller
-  /// `submitted` than an earlier snapshot, and the two sides are equal at
-  /// every quiescent point (Flush).
+  /// \brief Hands one item to the stage. Never blocks: a full queue evicts
+  /// an item (counted in `queue_dropped`). Single producer. In async mode
+  /// the item joins the producer's batch, which reaches the worker at half
+  /// the queue depth or at the next `HandOff` / `Flush`.
   void Submit(const In& item) {
     const TimePoint now = Clock::now();
     if (!options_.async) {
@@ -177,21 +170,15 @@ class AsyncSideStage {
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.transform_failed;
+        FoldTallyLocked();
         complete_cv_.notify_all();
         return;
       }
       Deliver(std::move(*out), now);
       return;
     }
-    submitted_.store(submitted_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    size_t evicted = 0;
-    const bool pushed = channel_.PushEvictOldest(Item{item, now}, &evicted);
-    if (!pushed) ++evicted;  // closed: account the rejected item itself
-    if (evicted == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.queue_dropped += evicted;
-    complete_cv_.notify_all();
+    pending_.push_back(Item{item, now});
+    if (pending_.size() >= hand_off_at_) HandOff();
   }
 
   /// \brief Moves the buffered outputs (delivery order) into `out`;
@@ -205,44 +192,57 @@ class AsyncSideStage {
     return n;
   }
 
-  /// \brief Ends a burst of Submits: wakes the worker if it is parked.
-  /// Call from the producer, or from a thread that happens-after its last
-  /// Submit. No-op in sync mode (nothing is ever queued).
-  void Wake() { channel_.Wake(); }
+  /// \brief Ends a burst of Submits: moves the producer's batch to the
+  /// worker in one queue lock. Call from the producer, or from a thread
+  /// that happens-after its last Submit. No-op in sync mode.
+  /// `submitted` is counted before the push, so a `stats()` snapshot never
+  /// accounts for more items than were submitted.
+  void HandOff() {
+    const size_t n = pending_.size();
+    if (n == 0) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stats_.submitted += n;
+    }
+    size_t evicted = 0;
+    if (!channel_.PushEvictOldest(&pending_, &evicted)) evicted = n;
+    pending_.clear();
+    if (evicted == 0) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.queue_dropped += evicted;
+    complete_cv_.notify_all();
+  }
 
-  /// \brief End-of-stream barrier: rings the doorbell, then blocks until
-  /// every submitted item has been delivered or dropped. Call from a
-  /// quiescent producer (no concurrent Submit).
+  /// \brief End-of-stream barrier: hands off the producer's batch, then
+  /// blocks until every submitted item has been delivered or dropped. Call
+  /// from a quiescent producer (no concurrent Submit).
   void Flush() {
-    Wake();
+    HandOff();
     std::unique_lock<std::mutex> lock(mutex_);
     complete_cv_.wait(lock, [this] {
       return stats_.processed + stats_.queue_dropped +
                  stats_.transform_failed >=
-             SubmittedLocked();
+             stats_.submitted;
     });
   }
 
   /// \brief Attributes `micros` of transform wall-clock to the named
-  /// upstream source. Call from inside the transform — it runs on the
-  /// worker thread in async mode, the producer thread in sync mode; either
-  /// way the stats lock serialises the update.
+  /// upstream source. Call from inside the transform.
   void AttributeSource(std::string_view name, uint64_t micros) {
     const std::pair<std::string_view, uint64_t> one[] = {{name, micros}};
     AttributeSources(one);
   }
 
-  /// \brief Batched attribution: one stats-lock acquisition for all of a
-  /// transform invocation's sources (the per-point hot path).
+  /// \brief Batched attribution for one transform invocation. Takes no
+  /// lock: the tally belongs to the thread running the transform (the
+  /// worker in async mode, the producer in sync mode) and is folded into
+  /// `source_latency` under the stats lock once per delivered batch.
   void AttributeSources(
       std::span<const std::pair<std::string_view, uint64_t>> sources) {
-    if (sources.empty()) return;
-    std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, micros] : sources) {
-      auto it = stats_.source_latency.find(name);
-      if (it == stats_.source_latency.end()) {
-        it = stats_.source_latency.emplace(std::string(name), SourceLatency())
-                 .first;
+      auto it = tally_.find(name);
+      if (it == tally_.end()) {
+        it = tally_.emplace(std::string(name), SourceLatency()).first;
       }
       SourceLatency& source = it->second;
       ++source.calls;
@@ -257,7 +257,6 @@ class AsyncSideStage {
     if (options_.async) hop = channel_.stats();
     std::lock_guard<std::mutex> lock(mutex_);
     SideStageStats s = stats_;
-    s.submitted = SubmittedLocked();
     s.hop = hop;
     s.max_queue_depth = std::max(s.max_queue_depth, hop.depth_high_water);
     return s;
@@ -275,7 +274,7 @@ class AsyncSideStage {
   void WorkerLoop() {
     std::vector<Item> batch;
     std::vector<std::pair<Out, DurationMs>> done;
-    while (channel_.PopBatch(&batch, std::max<size_t>(1, options_.max_batch)) >
+    while (channel_.PopBatch(&batch, std::numeric_limits<size_t>::max()) >
            0) {
       // Transform (and sink delivery) run without the stats lock; the
       // bookkeeping for the whole batch is one lock acquisition.
@@ -301,6 +300,7 @@ class AsyncSideStage {
         if (!sink_) PushOutput(std::move(out));
       }
       stats_.transform_failed += failed;
+      FoldTallyLocked();
       done.clear();
       batch.clear();
       complete_cv_.notify_all();
@@ -314,13 +314,18 @@ class AsyncSideStage {
     ++stats_.processed;
     stats_.latency.Observe(latency_ms);
     if (!sink_) PushOutput(std::move(out));
+    FoldTallyLocked();
     complete_cv_.notify_all();
   }
 
-  /// Caller holds mutex_. Sync mode counts under the lock; async mode in
-  /// the producer's atomic.
-  uint64_t SubmittedLocked() const {
-    return stats_.submitted + submitted_.load(std::memory_order_relaxed);
+  /// Caller holds mutex_ and runs the transform. Zeroes the tally's
+  /// entries rather than erasing them, so a batch allocates nothing.
+  void FoldTallyLocked() {
+    for (auto& [name, source] : tally_) {
+      if (source.calls == 0) continue;
+      stats_.source_latency[name].Merge(source);
+      source = SourceLatency();
+    }
   }
 
   static DurationMs MillisSince(TimePoint start) {
@@ -340,13 +345,14 @@ class AsyncSideStage {
 
   const Options options_;
   const Transform transform_;
+  const size_t hand_off_at_;  ///< batch size that triggers a hand-off
   Sink sink_;  ///< written before the first Submit, read by the worker
-  /// The Submit caller is the stage's single producer and the worker its
-  /// single consumer, so the SPSC contract holds.
-  SpscLossyRing<Item> channel_;
+  std::vector<Item> pending_;  ///< producer's batch (producer thread only)
+  BoundedQueue<Item> channel_;
   std::thread worker_;
-  /// Async-mode `submitted`, written only by the producer (see Submit).
-  std::atomic<uint64_t> submitted_{0};
+  /// Source attribution not yet folded into `stats_` (transform thread
+  /// only; see AttributeSources).
+  std::map<std::string, SourceLatency, std::less<>> tally_;
   mutable std::mutex mutex_;
   std::condition_variable complete_cv_;
   std::deque<Out> output_;  ///< drain buffer (sink-less mode)

@@ -1,15 +1,15 @@
-// Tests for the lock-free SPSC lossy ring against the mutex BoundedQueue
-// reference (evict-oldest overload: identical shed sets), and the hop-stats
-// invariants the mutex queue reports for the coordinator → shard hop.
+// Tests for the mutex BoundedQueue that carries both inter-stage hops: the
+// hop-stats invariants it reports, and its lossy batch push (evict-oldest
+// overload) against a reference that takes the same items one at a time.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "stream/lossy_ring.h"
 #include "stream/queue.h"
 
 namespace marlin {
@@ -63,72 +63,63 @@ TEST(HopStatsTest, BoundedQueueStressAndStatsInvariants) {
   EXPECT_LE(s.batches(), kCount);
 }
 
-// --- Evict-oldest: SpscLossyRing vs BoundedQueue::PushEvictOldest ---------
+// --- Evict-oldest: batch push vs one-at-a-time ----------------------------
 
-// Overfills the ring with no consumer: exactly `capacity` newest items
-// survive in FIFO order and every eviction is counted. (stream_test pins
-// the same behaviour for BoundedQueue::PushEvictOldest.)
-TEST(LossyRingTest, OverfillEvictsOldest) {
-  SpscLossyRing<int> ring(4);
-  size_t total_dropped = 0;
-  for (int i = 0; i < 100; ++i) {
-    size_t dropped = 0;
-    EXPECT_TRUE(ring.PushEvictOldest(i, &dropped));
-    total_dropped += dropped;
-  }
-  EXPECT_EQ(ring.size(), ring.capacity());
-  EXPECT_EQ(total_dropped, 100 - ring.capacity());
-  ring.Close();
-  size_t dropped = 0;
-  EXPECT_FALSE(ring.PushEvictOldest(101, &dropped));  // closed: rejected
-  EXPECT_EQ(dropped, 0u);
-  std::vector<int> survivors;
-  while (auto item = ring.Pop()) survivors.push_back(*item);
-  ASSERT_EQ(survivors.size(), ring.capacity());
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    EXPECT_EQ(survivors[i], static_cast<int>(100 - ring.capacity() + i));
-  }
-}
-
-// Runs the exact same interleaved evict-oldest push / pop script against
-// the lock-free lossy ring and the mutex reference queue and requires that
-// they shed the *identical* item set — not just the same count.
-TEST(LossyRingTest, ShedsSameItemsAsBoundedQueue) {
+// Runs one interleaved push / pop script against the queue, which takes
+// each push as a batch of 1–8 items, and against a reference that takes
+// the same items one at a time and evicts its oldest when full. The batch
+// push must shed the *identical* item set — not just the same count — so
+// evicting the wrong end or miscounting fails.
+TEST(LossyPushTest, BatchShedsSameItemsAsOneAtATime) {
+  constexpr size_t kCapacity = 6;  // a batch of 7–8 also sheds its own head
   Rng rng(17);
   for (int round = 0; round < 50; ++round) {
-    SpscLossyRing<int> ring(8);
-    BoundedQueue<int> queue(8);
-    std::vector<int> ring_out, queue_out;
-    size_t ring_dropped = 0, queue_dropped = 0;
+    BoundedQueue<int> queue(kCapacity);
+    std::deque<int> reference;
+    std::vector<int> queue_out, reference_out;
+    size_t queue_dropped = 0, reference_dropped = 0;
     int next = 0;
     for (int step = 0; step < 300; ++step) {
       if (rng.NextBounded(3) != 0) {  // push-heavy: force overload
+        std::vector<int> batch;
+        const size_t n = 1 + rng.NextBounded(8);
+        for (size_t i = 0; i < n; ++i) {
+          batch.push_back(next);
+          if (reference.size() >= kCapacity) {
+            reference.pop_front();
+            ++reference_dropped;
+          }
+          reference.push_back(next);
+          ++next;
+        }
         size_t d = 0;
-        ASSERT_TRUE(ring.PushEvictOldest(next, &d));
-        ring_dropped += d;
-        d = 0;
-        ASSERT_TRUE(queue.PushEvictOldest(next, &d));
+        ASSERT_TRUE(queue.PushEvictOldest(&batch, &d));
+        EXPECT_TRUE(batch.empty());
         queue_dropped += d;
-        ++next;
       } else {
-        std::vector<int> r, q;
+        std::vector<int> q, r;
         const size_t want = 1 + rng.NextBounded(3);
-        if (ring.size() > 0) ring.PopBatch(&r, want);
         if (queue.size() > 0) queue.PopBatch(&q, want);
-        EXPECT_EQ(r, q) << "round " << round << " step " << step;
-        ring_out.insert(ring_out.end(), r.begin(), r.end());
+        while (!reference.empty() && r.size() < want) {
+          r.push_back(reference.front());
+          reference.pop_front();
+        }
+        EXPECT_EQ(q, r) << "round " << round << " step " << step;
         queue_out.insert(queue_out.end(), q.begin(), q.end());
+        reference_out.insert(reference_out.end(), r.begin(), r.end());
       }
+      ASSERT_EQ(queue_dropped, reference_dropped)
+          << "round " << round << " step " << step;
     }
-    ring.Close();
     queue.Close();
-    while (auto item = ring.Pop()) ring_out.push_back(*item);
     while (auto item = queue.Pop()) queue_out.push_back(*item);
-    // Identical survivors (and therefore identical shed sets), and both
-    // uphold accepted == delivered + dropped.
-    EXPECT_EQ(ring_out, queue_out) << "round " << round;
-    EXPECT_EQ(ring_dropped, queue_dropped);
-    EXPECT_EQ(ring_out.size() + ring_dropped, static_cast<size_t>(next));
+    reference_out.insert(reference_out.end(), reference.begin(),
+                         reference.end());
+    // Identical survivors (and therefore identical shed sets), and
+    // accepted == delivered + dropped.
+    EXPECT_EQ(queue_out, reference_out) << "round " << round;
+    EXPECT_EQ(queue_out.size() + queue_dropped, static_cast<size_t>(next));
+    EXPECT_LE(queue.stats().depth_high_water, queue.capacity());
   }
 }
 

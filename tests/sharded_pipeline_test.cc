@@ -10,6 +10,7 @@
 #include <span>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "context/registry.h"
@@ -822,6 +823,67 @@ TEST(EnrichedStreamTest, SinkDeliversEveryPointWithPerVesselOrder) {
   // With a sink installed nothing accumulates for DrainEnriched.
   std::vector<EnrichedPoint> drained;
   EXPECT_EQ(sharded.DrainEnriched(&drained), 0u);
+}
+
+// The default `enrichment_queue_depth` (every other enriched test runs a
+// deep queue): whatever a host's speed sheds, every point is accounted for
+// and the delivered stream is an order-preserving thinning of the
+// sequential one. Drops are not asserted away — they depend on host speed.
+TEST(EnrichedStreamTest, DefaultDepthAccountsForEveryPoint) {
+  const ScenarioOutput scenario = MakeScenario(915, /*perfect_reception=*/false);
+  const PipelineConfig pc;  // default queue depth and window
+  WeatherProvider weather(7);
+  VesselRegistry reg_a("marinetraffic"), reg_b("lloyds");
+  FillRegistries(scenario.fleet, &reg_a, &reg_b);
+
+  using Key = decltype(EnrichedKey(std::declval<EnrichedPoint>()));
+  MaritimePipeline sequential(pc, &SharedWorld().zones(), &weather, &reg_a,
+                              &reg_b);
+  std::map<Mmsi, std::vector<Key>> seq_per_vessel;
+  sequential.SetEnrichedSink([&](const EnrichedPoint& p) {
+    seq_per_vessel[p.base.mmsi].push_back(EnrichedKey(p));
+  });
+  sequential.Run(scenario.nmea);
+  const uint64_t points_out = sequential.metrics().reconstruction.points_out;
+  ASSERT_GT(points_out, 0u);
+
+  for (size_t num_shards : {1, 3}) {
+    ShardedPipeline::Options opts;
+    opts.num_shards = num_shards;
+    ShardedPipeline sharded(pc, opts, &SharedWorld().zones(), &weather,
+                            &reg_a, &reg_b);
+    std::mutex mu;
+    std::map<Mmsi, std::vector<Key>> per_vessel;
+    sharded.SetEnrichedSink([&](const EnrichedPoint& p) {
+      std::lock_guard<std::mutex> lock(mu);
+      per_vessel[p.base.mmsi].push_back(EnrichedKey(p));
+    });
+    sharded.Run(scenario.nmea);
+
+    const SideStageStats stage = sharded.metrics().enrichment_stage;
+    EXPECT_EQ(stage.submitted, points_out) << num_shards << " shards";
+    EXPECT_EQ(stage.submitted, stage.processed + stage.queue_dropped +
+                                   stage.transform_failed)
+        << num_shards << " shards";
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto& [mmsi, keys] : per_vessel) {
+      const auto seq = seq_per_vessel.find(mmsi);
+      ASSERT_NE(seq, seq_per_vessel.end()) << "vessel " << mmsi;
+      // Order-preserving subsequence: each delivered point matches the
+      // next sequential point at or after the previous match.
+      size_t j = 0;
+      for (const Key& key : keys) {
+        while (j < seq->second.size() && seq->second[j] != key) ++j;
+        ASSERT_LT(j, seq->second.size())
+            << num_shards << " shards, vessel " << mmsi
+            << ": delivered point missing or out of order";
+        ++j;
+      }
+    }
+    if (stage.dropped() == 0) {
+      EXPECT_EQ(per_vessel, seq_per_vessel) << num_shards << " shards";
+    }
+  }
 }
 
 /// Weather source with a deliberate per-lookup stall — the slow upstream

@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "stream/event.h"
-#include "stream/lossy_ring.h"
 #include "stream/queue.h"
 #include "stream/rate.h"
 #include "stream/reorder.h"
@@ -308,18 +307,21 @@ TEST(LatencyReservoirTest, MergeBelowCapacityKeepsAllSamples) {
 TEST(QueueTest, PushEvictOldestNeverBlocksAndCountsEvictions) {
   BoundedQueue<int> q(2);
   size_t evicted = 0;
-  size_t total_evicted = 0;
-  for (int i = 1; i <= 5; ++i) {
-    EXPECT_TRUE(q.PushEvictOldest(i, &evicted));
-    total_evicted += evicted;
-  }
-  EXPECT_EQ(total_evicted, 3u);
+  std::vector<int> batch = {1, 2, 3};
+  EXPECT_TRUE(q.PushEvictOldest(&batch, &evicted));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(evicted, 1u);
+  batch = {4, 5};
+  EXPECT_TRUE(q.PushEvictOldest(&batch, &evicted));
+  EXPECT_EQ(evicted, 2u);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.Pop(), 4);  // the oldest survivors are the newest two
   EXPECT_EQ(q.Pop(), 5);
   q.Close();
-  EXPECT_FALSE(q.PushEvictOldest(6, &evicted));
+  batch = {6};
+  EXPECT_FALSE(q.PushEvictOldest(&batch, &evicted));
   EXPECT_EQ(evicted, 0u);
+  EXPECT_EQ(batch.size(), 1u);  // rejected, left with the caller
 }
 
 // --- Async side-stage ------------------------------------------------------
@@ -375,9 +377,9 @@ bool AwaitFlag(const std::atomic<bool>& done) {
 }
 
 TEST(SideStageTest, FlushRingsTheDeferredDoorbell) {
-  // A few async Submits below half the ring depth publish without waking
-  // the parked worker; Flush alone must ring the doorbell and complete. A
-  // Flush that waits without ringing leaves the worker parked forever.
+  // A few async Submits below half the queue depth stay in the producer's
+  // batch; Flush alone must hand them to the parked worker and complete. A
+  // Flush that waits without handing off leaves the worker parked forever.
   AsyncSideStage<int, int>::Options opts;
   opts.queue_depth = 64;
   AsyncSideStage<int, int> stage(opts, [](const int& v) { return v * 3; });
@@ -390,7 +392,7 @@ TEST(SideStageTest, FlushRingsTheDeferredDoorbell) {
     flushed.store(true, std::memory_order_release);
   });
   const bool completed = AwaitFlag(flushed);
-  if (!completed) stage.Wake();  // unblock the flusher so the case can end
+  if (!completed) stage.HandOff();  // unblock the flusher so the case can end
   flusher.join();
   ASSERT_TRUE(completed) << "Flush did not wake the parked worker";
   std::vector<int> out;
@@ -401,38 +403,37 @@ TEST(SideStageTest, FlushRingsTheDeferredDoorbell) {
   EXPECT_EQ(stats.dropped(), 0u);
 }
 
-TEST(LossyRingDoorbellTest, ParkedConsumerWakesAtHalfFull) {
-  SpscLossyRing<int> ring(8);
-  std::atomic<bool> popped{false};
-  std::vector<int> got;
-  std::thread consumer([&] {
-    ring.PopBatch(&got, 8);
-    popped.store(true, std::memory_order_release);
+TEST(SideStageTest, HandsOffAtHalfDepth) {
+  // Below half the queue depth Submit only batches (nothing is counted as
+  // submitted yet); the Submit that reaches half depth hands the batch off,
+  // and the parked worker delivers all of it without HandOff or Flush.
+  AsyncSideStage<int, int>::Options opts;
+  opts.queue_depth = 8;
+  AsyncSideStage<int, int> stage(opts, [](const int& v) { return v; });
+  std::atomic<int> delivered{0};
+  std::atomic<bool> all_delivered{false};
+  stage.SetSink([&](const int&) {
+    if (delivered.fetch_add(1) + 1 == 4) {
+      all_delivered.store(true, std::memory_order_release);
+    }
   });
-  AwaitParkedConsumer([&] { return ring.stats().pop_waits; });
-  size_t evicted = 0;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ring.PushEvictOldest(i, &evicted));
-    EXPECT_EQ(evicted, 0u);
-  }
-  // Below half full: published without a wake-up.
-  EXPECT_EQ(ring.stats().notifies, 0u);
-  ASSERT_TRUE(ring.PushEvictOldest(3, &evicted));  // 4 of 8: half full
-  const bool woke = AwaitFlag(popped);
-  if (!woke) ring.Close();  // unblock the consumer so the case can end
-  consumer.join();
-  ASSERT_TRUE(woke) << "half-full ring did not wake the parked consumer";
-  EXPECT_FALSE(got.empty());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], static_cast<int>(i));
-  }
-  EXPECT_LE(ring.stats().notifies, 1u);
+  AwaitParkedConsumer([&] { return stage.stats().hop.pop_waits; });
+  for (int i = 0; i < 3; ++i) stage.Submit(i);
+  EXPECT_EQ(stage.stats().submitted, 0u);
+  stage.Submit(3);  // 4 of 8: half depth
+  const bool woke = AwaitFlag(all_delivered);
+  EXPECT_TRUE(woke) << "half-depth batch did not reach the parked worker";
+  stage.Flush();
+  const SideStageStats stats = stage.stats();
+  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.processed, 4u);
+  EXPECT_EQ(stats.hop.pushed, 4u);
+  EXPECT_EQ(stats.dropped(), 0u);
 }
 
 TEST(SideStageTest, DropOldestUnderSlowTransform) {
   AsyncSideStage<int, int>::Options opts;
   opts.queue_depth = 4;
-  opts.max_batch = 1;
   AsyncSideStage<int, int> stage(opts, [](const int& v) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return v;
@@ -453,14 +454,13 @@ TEST(SideStageTest, DropOldestUnderSlowTransform) {
 }
 
 TEST(SideStageTest, CountersStayConsistentUnderConcurrentPolling) {
-  // A producer overruns a depth-2 ring in front of a slow transform that
+  // A producer overruns a depth-2 queue in front of a slow transform that
   // also fails now and then, while a third thread polls stats(). Every
   // snapshot must account for no more items than were submitted, and the
-  // polled `submitted` (the producer's atomic) must never go backwards.
+  // polled `submitted` must never go backwards.
   AsyncSideStage<int, int>::Options opts;
   opts.queue_depth = 2;
-  opts.max_batch = 1;
-  // Calls 1, 4, 7, ... fail: the items left in the ring at Flush are
+  // Calls 1, 4, 7, ... fail: the items left in the queue at Flush are
   // always transformed, so at least the first call happens on any host.
   int calls = 0;  // worker thread only
   AsyncSideStage<int, int> stage(opts, [&calls](const int& v) {
